@@ -21,13 +21,14 @@
  * `ctest -L analysis` checks against the QMDD oracle).
  *
  * Barriers and measurements fence: they are treated as commuting with
- * nothing, and a barrier acts on every wire of the register (matching
- * opt::scheduleAsap's full-layer fence semantics).
+ * nothing, and a barrier acts on every wire of the register, taking a
+ * full layer of its own.
  *
  * The DAG also carries the scheduling view derived from longest paths:
  * ASAP layers, depth (critical-path length), layer widths, and one
  * explicit critical path. This is the substrate the lint rules, the
- * `--analyze` metrics, and a future lookahead router share.
+ * `--analyze` and `--schedule` figures, the reported depth, and the
+ * sabre router share.
  */
 
 #pragma once

@@ -41,11 +41,12 @@ DataflowAnalysis::DataflowAnalysis(const DependencyDag &dag)
         }
     }
     // Idle layers: live span in layers minus layers actually occupied.
+    // The span comes from the occupied layers themselves, not from the
+    // first and last use: a later gate that commutes with the ones
+    // before it on the wire can sit in an earlier layer.
     for (WireFacts &w : wires_) {
         if (w.uses.empty())
             continue;
-        size_t first_layer = dag.node(w.firstUse).asapLayer;
-        size_t last_layer = dag.node(w.lastUse).asapLayer;
         std::vector<size_t> occupied;
         occupied.reserve(w.uses.size());
         for (size_t i : w.uses)
@@ -53,7 +54,8 @@ DataflowAnalysis::DataflowAnalysis(const DependencyDag &dag)
         std::sort(occupied.begin(), occupied.end());
         occupied.erase(std::unique(occupied.begin(), occupied.end()),
                        occupied.end());
-        w.idleLayers = (last_layer - first_layer + 1) - occupied.size();
+        w.idleLayers =
+            (occupied.back() - occupied.front() + 1) - occupied.size();
     }
 }
 
@@ -74,8 +76,13 @@ DataflowAnalysis::liveAt(Qubit q, size_t layer) const
     const WireFacts &w = wires_[q];
     if (w.dead())
         return false;
-    return layer >= dag_->node(w.firstUse).asapLayer &&
-           layer <= dag_->node(w.lastUse).asapLayer;
+    size_t lo = dag_->node(w.firstUse).asapLayer;
+    size_t hi = lo;
+    for (size_t i : w.uses) {
+        lo = std::min(lo, dag_->node(i).asapLayer);
+        hi = std::max(hi, dag_->node(i).asapLayer);
+    }
+    return layer >= lo && layer <= hi;
 }
 
 size_t

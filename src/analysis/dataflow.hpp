@@ -12,12 +12,15 @@
  * wire only ever used as a control still holds its initial state in
  * the computational basis, while a targeted wire does not.
  *
- * Liveness is interval-shaped (first gate .. last gate on the wire);
- * the idle-layer figure per wire is the decoherence-exposure proxy the
- * scheduler also reports. Reachability answers "can gate a influence
- * gate b" — the transitive closure question lint rules and the future
- * lookahead router ask; it is computed on demand (forward BFS) rather
- * than stored, keeping the analysis O(V+E) per query.
+ * Liveness is interval-shaped: from the earliest to the latest ASAP
+ * layer of the wire's gates. That is not always first gate .. last
+ * gate, since a gate that commutes with the ones before it on the
+ * wire can sit in an earlier layer. The idle-layer figure per wire is
+ * the decoherence-exposure proxy `qsync --schedule` reports.
+ * Reachability answers "can gate a influence gate b" — the
+ * transitive closure question lint rules ask;
+ * it is computed on demand (forward BFS) rather than stored, keeping
+ * the analysis O(V+E) per query.
  */
 
 #pragma once
@@ -40,7 +43,8 @@ struct WireFacts
     /** First / last gate touching the wire (kNoGate when unused). */
     size_t firstUse = kNoGate;
     size_t lastUse = kNoGate;
-    /** Layers the wire sits idle between its first and last gate. */
+    /** Layers the wire sits idle between its earliest and latest
+     *  occupied ASAP layer. */
     size_t idleLayers = 0;
     /** True when no gate touches the wire at all. */
     bool dead() const { return uses.empty(); }
@@ -61,12 +65,12 @@ class DataflowAnalysis
     /** Wires no gate touches (sorted). */
     std::vector<Qubit> deadWires() const;
 
-    /** True when the wire is live (between first and last use,
-     *  inclusive) at ASAP layer `layer`. */
+    /** True when the wire is live (between the earliest and latest
+     *  ASAP layer of its uses, inclusive) at ASAP layer `layer`. */
     bool liveAt(Qubit q, size_t layer) const;
 
-    /** Total idle wire-layers across live wires (the scheduler's
-     *  decoherence-exposure proxy, derived from the DAG instead). */
+    /** Total idle wire-layers across live wires (the
+     *  decoherence-exposure proxy `qsync --schedule` prints). */
     size_t idleWireLayers() const;
 
     /**

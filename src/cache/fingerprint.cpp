@@ -120,9 +120,7 @@ mixCompileOptions(Fingerprint &fp, const CompileOptions &options)
     fp.mixU64(static_cast<std::uint64_t>(options.placement));
     fp.mixU64(static_cast<std::uint64_t>(options.routing.router));
     fp.mixU64(options.routing.sabreWindow);
-    fp.mixU64(options.routing.meetInMiddle ? 1 : 0);
     fp.mixU64(options.routing.fidelityAware ? 1 : 0);
-    fp.mixU64(options.routing.dynamicLayout ? 1 : 0);
     fp.mixU64(options.routing.testOmitSwapBack ? 1 : 0);
     fp.mixU64(options.optimize ? 1 : 0);
     fp.mixU64(options.optimizeTechIndependent ? 1 : 0);

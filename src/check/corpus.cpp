@@ -41,10 +41,6 @@ compileOptionsToFlags(const CompileOptions &options)
         push("--router");
         push(route::routerName(options.routing.router));
     }
-    if (options.routing.meetInMiddle)
-        push("--meet-in-middle");
-    if (options.routing.dynamicLayout)
-        push("--dynamic-layout");
     if (options.routing.fidelityAware)
         push("--fidelity-aware");
     if (options.routing.testOmitSwapBack)

@@ -60,12 +60,6 @@ const FlagReset kFlagResets[] = {
          return o.routing.router != route::RouterKind::Ctr;
      },
      [](CompileOptions &o) { o.routing.router = route::RouterKind::Ctr; }},
-    {"meet-in-middle",
-     [](const CompileOptions &o) { return o.routing.meetInMiddle; },
-     [](CompileOptions &o) { o.routing.meetInMiddle = false; }},
-    {"dynamic-layout",
-     [](const CompileOptions &o) { return o.routing.dynamicLayout; },
-     [](CompileOptions &o) { o.routing.dynamicLayout = false; }},
     {"fidelity-aware",
      [](const CompileOptions &o) { return o.routing.fidelityAware; },
      [](CompileOptions &o) { o.routing.fidelityAware = false; }},

@@ -26,7 +26,6 @@
 #include "frontend/qasm_writer.hpp"
 #include "core/batch.hpp"
 #include "core/report.hpp"
-#include "opt/schedule.hpp"
 
 #include <fstream>
 
@@ -131,10 +130,6 @@ parseCliArguments(const std::vector<std::string> &args)
         } else if (arg == "--mcx") {
             opts.compile.mcxStrategy =
                 strategyFromName(next_value(arg));
-        } else if (arg == "--meet-in-middle") {
-            opts.compile.routing.meetInMiddle = true;
-        } else if (arg == "--dynamic-layout") {
-            opts.compile.routing.dynamicLayout = true;
         } else if (arg == "--fidelity-aware") {
             opts.compile.routing.fidelityAware = true;
         } else if (arg == "--test-omit-swap-back") {
@@ -294,8 +289,6 @@ cliHelpText()
         "      --router <r>         ctr (paper reference) | sabre\n"
         "                           (DAG-lookahead, fewer SWAPs)\n"
         "      --mcx <s>            auto|clean|dirty|split|roots\n"
-        "      --meet-in-middle     CTR variant: move both endpoints\n"
-        "      --dynamic-layout     persistent-swap routing variant\n"
         "      --fidelity-aware     route around high-error couplings\n"
         "      --phase-poly         phase-polynomial T-count reduction\n"
         "      --weight-t <w>       Eqn. 2 T-gate weight (default 0.5)\n"
@@ -307,7 +300,8 @@ cliHelpText()
         "      --no-verify          skip QMDD verification\n"
         "      --verify-miter       alternating-miter verification\n"
         "      --draw               ASCII-draw input and output\n"
-        "      --schedule           print depth/parallelism analysis\n"
+        "      --schedule           print depth/parallelism/idle-wire\n"
+        "                           figures of the dependency DAG\n"
         "      --analyze            lint the compiled circuit (dependency\n"
         "                           DAG metrics + QLxxx findings; also\n"
         "                           embedded in --report)\n"
@@ -624,13 +618,13 @@ runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
                 << "\n";
         }
         if (options.printSchedule) {
-            opt::Schedule schedule = opt::scheduleAsap(result.optimized);
-            opt::ScheduleStats sstats =
-                computeScheduleStats(result.optimized, schedule);
-            err << "schedule:          depth " << sstats.depth
-                << ", avg parallelism " << sstats.parallelism
-                << ", widest layer " << sstats.maxLayerWidth
-                << ", idle wire-layers " << sstats.idleWireLayers
+            analysis::DependencyDag dag(result.optimized);
+            analysis::DagMetrics dm = analysis::computeDagMetrics(dag);
+            err << "schedule:          depth " << dm.depth
+                << ", avg parallelism " << dm.parallelism
+                << ", widest layer " << dm.maxLayerWidth
+                << ", idle wire-layers "
+                << analysis::DataflowAnalysis(dag).idleWireLayers()
                 << "\n";
         }
         std::optional<analysis::Diagnostics> diagnostics;

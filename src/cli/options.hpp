@@ -47,7 +47,8 @@ struct CliOptions
     bool listDevices = false;
     /** Print ASCII drawings of the input and compiled circuits. */
     bool drawCircuits = false;
-    /** Print the ASAP schedule summary of the compiled circuit. */
+    /** Print the compiled circuit's depth, parallelism, widest layer
+     *  and idle wire-layers, all from the dependency DAG. */
     bool printSchedule = false;
     /** Run the static analyzer over the compiled circuit: DAG metrics
      *  plus lint findings to stderr, an "analysis" object in --report,

@@ -170,7 +170,6 @@ CircuitStats
 computeStats(const Circuit &circuit)
 {
     CircuitStats s;
-    std::vector<size_t> wire_depth(circuit.numQubits(), 0);
     for (const Gate &g : circuit) {
         if (g.kind() == GateKind::Barrier)
             continue;
@@ -184,13 +183,6 @@ computeStats(const Circuit &circuit)
             ++s.twoQubit;
         else if (width > 2)
             ++s.multiQubit;
-        size_t level = 0;
-        for (Qubit q : g.qubits())
-            level = std::max(level, wire_depth[q]);
-        ++level;
-        for (Qubit q : g.qubits())
-            wire_depth[q] = level;
-        s.depth = std::max(s.depth, level);
     }
     return s;
 }

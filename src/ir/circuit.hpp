@@ -125,7 +125,6 @@ struct CircuitStats
     size_t cnotCount = 0;   ///< singly-controlled X count `c`
     size_t twoQubit = 0;    ///< gates touching exactly two wires
     size_t multiQubit = 0;  ///< gates touching three or more wires
-    size_t depth = 0;       ///< circuit depth (critical path length)
 };
 
 /** Compute gate statistics in one pass. */

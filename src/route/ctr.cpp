@@ -11,8 +11,6 @@ namespace qsyn::route {
 namespace {
 
 using detail::countReversal;
-using detail::remapGate;
-using detail::restoreIdentityLayout;
 
 /** Record one reroute decision on the installed obs sink: the SWAP
  *  path length (vertices walked, histogram) and the running reroute
@@ -95,137 +93,12 @@ routeCnotCtr(Circuit &out, const Device &device, Qubit control,
         emitSwapPathReversed(out, map, path, stats);
 }
 
-void
-routeCnotMeetInMiddle(Circuit &out, const CouplingMap &map, Qubit control,
-                      Qubit target, RouteStats *stats)
-{
-    std::vector<Qubit> path = map.shortestPath(control, target);
-    if (path.empty()) {
-        throw MappingError("no coupling path between q" +
-                           std::to_string(control) + " and q" +
-                           std::to_string(target));
-    }
-    if (stats)
-        ++stats->reroutedCnots;
-    recordReroute(path.size());
-
-    // path = [control, ..., target]; walk the control to index j and
-    // the target back to index j+1.
-    size_t j = (path.size() - 2) / 2;
-    std::vector<Qubit> control_leg(path.begin(),
-                                   path.begin() +
-                                       static_cast<ptrdiff_t>(j + 1));
-    std::vector<Qubit> target_leg(path.rbegin(),
-                                  path.rend() -
-                                      static_cast<ptrdiff_t>(j + 1));
-
-    emitSwapPath(out, map, control_leg, stats);
-    emitSwapPath(out, map, target_leg, stats);
-    Qubit moved_control = control_leg.back();
-    Qubit moved_target = target_leg.back();
-    if (map.hasEdge(moved_control, moved_target)) {
-        out.addCnot(moved_control, moved_target);
-    } else {
-        decompose::appendReversedCnot(out, moved_control, moved_target);
-        countReversal(stats);
-    }
-    emitSwapPathReversed(out, map, target_leg, stats);
-    emitSwapPathReversed(out, map, control_leg, stats);
-}
-
-/**
- * Dynamic-layout router: tracks where every virtual wire currently
- * sits; SWAP chains move the control next to the target and stay in
- * place; the epilogue sorts every wire home so the circuit's unitary
- * equals the swap-back style exactly.
- */
-Circuit
-routeDynamic(const Circuit &circuit, const Device &device,
-             RouteStats *stats)
-{
-    const CouplingMap &map = device.coupling();
-    Qubit n = device.numQubits();
-    Circuit out(n, circuit.name());
-
-    // pos[v] = physical qubit currently holding virtual wire v;
-    // inv[p] = virtual wire at physical p.
-    std::vector<Qubit> pos(n), inv(n);
-    for (Qubit q = 0; q < n; ++q)
-        pos[q] = inv[q] = q;
-
-    auto apply_swap = [&](Qubit pa, Qubit pb) {
-        decompose::appendSwap(out, &map, pa, pb);
-        if (stats)
-            ++stats->swapsInserted;
-        Qubit va = inv[pa], vb = inv[pb];
-        std::swap(inv[pa], inv[pb]);
-        pos[va] = pb;
-        pos[vb] = pa;
-    };
-
-    for (const Gate &g : circuit) {
-        if (!g.isCnot()) {
-            QSYN_ASSERT(g.numQubits() <= 1 ||
-                            g.kind() == GateKind::Barrier,
-                        "routing expects a primitive-level circuit");
-            // Remap single-qubit gates through the current layout;
-            // barriers fence the whole register and pass unchanged.
-            if (g.kind() == GateKind::Barrier) {
-                out.add(g);
-            } else if (g.numQubits() == 1) {
-                out.add(remapGate(g, pos));
-            } else {
-                out.add(g);
-            }
-            continue;
-        }
-        Qubit pc = pos[g.controls()[0]];
-        Qubit pt = pos[g.target()];
-        if (device.isFullyConnected() || map.hasEdge(pc, pt)) {
-            out.addCnot(pc, pt);
-            if (stats)
-                ++stats->nativeCnots;
-            continue;
-        }
-        if (map.hasUndirectedEdge(pc, pt)) {
-            decompose::appendReversedCnot(out, pc, pt);
-            countReversal(stats);
-            continue;
-        }
-        std::vector<Qubit> path = map.shortestPathToNeighbor(pc, pt);
-        if (path.empty()) {
-            throw MappingError("no coupling path between q" +
-                               std::to_string(pc) + " and q" +
-                               std::to_string(pt));
-        }
-        if (stats)
-            ++stats->reroutedCnots;
-        recordReroute(path.size());
-        for (size_t i = 0; i + 1 < path.size(); ++i)
-            apply_swap(path[i], path[i + 1]);
-        Qubit moved = path.back();
-        if (map.hasEdge(moved, pt)) {
-            out.addCnot(moved, pt);
-        } else {
-            decompose::appendReversedCnot(out, moved, pt);
-            countReversal(stats);
-        }
-    }
-
-    // Epilogue: restore the identity layout.
-    restoreIdentityLayout(out, map, pos, inv, stats);
-    return out;
-}
-
 } // namespace
 
 Circuit
 routeCtr(const Circuit &circuit, const Device &device, RouteStats *stats,
          const RouteOptions &options)
 {
-    if (options.dynamicLayout)
-        return routeDynamic(circuit, device, stats);
-
     Circuit out(device.numQubits(), circuit.name());
     const CouplingMap &map = device.coupling();
 
@@ -251,12 +124,8 @@ routeCtr(const Circuit &circuit, const Device &device, RouteStats *stats,
             countReversal(stats);
             continue;
         }
-        if (options.meetInMiddle)
-            routeCnotMeetInMiddle(out, map, control, target, stats);
-        else
-            routeCnotCtr(out, device, control, target, stats,
-                         options.fidelityAware,
-                         options.testOmitSwapBack);
+        routeCnotCtr(out, device, control, target, stats,
+                     options.fidelityAware, options.testOmitSwapBack);
     }
     return out;
 }

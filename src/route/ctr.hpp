@@ -9,11 +9,15 @@
  * connectivity tree level by level) to a qubit coupled with the
  * target, executing the CNOT there, and swapping back so the original
  * qubit assignment is preserved. Each SWAP costs at most 7 gates
- * (3 CNOTs + 4 H) under unidirectional coupling.
+ * (3 CNOTs + 4 H) under unidirectional coupling. With calibration
+ * data and `fidelityAware`, the BFS becomes a Dijkstra search over
+ * accumulated two-qubit error.
  *
- * The shared stats/options types and the strategy-dispatching
- * `routeCircuit` entry live in route/router.hpp (re-exported here so
- * existing includes keep working).
+ * This is the paper reference and the default router; route/sabre.hpp
+ * is the production lookahead router.
+ *
+ * The shared stats/options types and the dispatching `routeCircuit`
+ * entry live in route/router.hpp (re-exported here).
  */
 
 #pragma once
@@ -23,10 +27,9 @@
 namespace qsyn::route {
 
 /**
- * The CTR backend (plus its meet-in-middle and dynamic-layout
- * variants, selected through `options`). Called by the dispatcher in
- * router.cpp after the width check; use `routeCircuit` instead unless
- * you specifically want to bypass strategy selection.
+ * The CTR backend (honors `fidelityAware` and `testOmitSwapBack`).
+ * Called by `routeCircuit` after the width check; use that instead
+ * unless you specifically want to bypass strategy selection.
  */
 Circuit routeCtr(const Circuit &circuit, const Device &device,
                  RouteStats *stats, const RouteOptions &options);

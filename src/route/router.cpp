@@ -1,7 +1,6 @@
 #include "route/router.hpp"
 
 #include "common/errors.hpp"
-#include "decompose/toffoli.hpp"
 #include "obs/obs.hpp"
 #include "route/ctr.hpp"
 #include "route/sabre.hpp"
@@ -36,23 +35,6 @@ parseRouterName(const std::string &text, RouterKind *out)
 
 namespace detail {
 
-Gate
-remapGate(const Gate &gate, const std::vector<Qubit> &layout)
-{
-    if (gate.kind() == GateKind::Measure)
-        return Gate::measure(layout[gate.target()], gate.cbit());
-    std::vector<Qubit> controls;
-    controls.reserve(gate.numControls());
-    for (Qubit c : gate.controls())
-        controls.push_back(layout[c]);
-    std::vector<Qubit> targets;
-    targets.reserve(gate.targets().size());
-    for (Qubit t : gate.targets())
-        targets.push_back(layout[t]);
-    return Gate(gate.kind(), std::move(controls), std::move(targets),
-                gate.param());
-}
-
 void
 countReversal(RouteStats *stats)
 {
@@ -62,69 +44,9 @@ countReversal(RouteStats *stats)
     stats->hInserted += 4;
 }
 
-size_t
-restoreIdentityLayout(Circuit &out, const CouplingMap &map,
-                      std::vector<Qubit> &pos, std::vector<Qubit> &inv,
-                      RouteStats *stats)
-{
-    Qubit n = static_cast<Qubit>(pos.size());
-    size_t restore_swaps = 0;
-    auto apply_swap = [&](Qubit pa, Qubit pb) {
-        decompose::appendSwap(out, &map, pa, pb);
-        ++restore_swaps;
-        Qubit va = inv[pa], vb = inv[pb];
-        std::swap(inv[pa], inv[pb]);
-        pos[va] = pb;
-        pos[vb] = pa;
-    };
-    for (Qubit p = 0; p < n; ++p) {
-        if (inv[p] == p)
-            continue;
-        std::vector<Qubit> path = map.shortestPath(pos[p], p);
-        QSYN_ASSERT(path.size() >= 2, "broken repair path");
-        // There-and-back chain: transposes the endpoint wires and
-        // leaves every intermediate wire where it was, so positions
-        // already repaired cannot be dragged out of place again.
-        for (size_t i = 0; i + 1 < path.size(); ++i)
-            apply_swap(path[i], path[i + 1]);
-        for (size_t i = path.size() - 2; i-- > 0;)
-            apply_swap(path[i], path[i + 1]);
-        QSYN_ASSERT(inv[p] == p, "repair transposition missed");
-    }
-    if (stats != nullptr) {
-        stats->swapsInserted += restore_swaps;
-        stats->restoreSwaps += restore_swaps;
-    }
-    return restore_swaps;
-}
-
 } // namespace detail
 
 namespace {
-
-class CtrRouter final : public Router
-{
-  public:
-    const char *name() const override { return "ctr"; }
-    Circuit route(const Circuit &circuit, const Device &device,
-                  RouteStats *stats,
-                  const RouteOptions &options) const override
-    {
-        return routeCtr(circuit, device, stats, options);
-    }
-};
-
-class SabreRouter final : public Router
-{
-  public:
-    const char *name() const override { return "sabre"; }
-    Circuit route(const Circuit &circuit, const Device &device,
-                  RouteStats *stats,
-                  const RouteOptions &options) const override
-    {
-        return routeSabre(circuit, device, stats, options);
-    }
-};
 
 /** Flush one routing run's counters onto the obs sink. */
 void
@@ -149,20 +71,6 @@ flushRouteStats(obs::Sink *sink, const RouteStats &stats)
 
 } // namespace
 
-const Router &
-routerFor(RouterKind kind)
-{
-    static const CtrRouter ctr;
-    static const SabreRouter sabre;
-    switch (kind) {
-      case RouterKind::Ctr:
-        return ctr;
-      case RouterKind::Sabre:
-        return sabre;
-    }
-    throw InternalError("unknown router kind", __FILE__, __LINE__);
-}
-
 Circuit
 routeCircuit(const Circuit &circuit, const Device &device,
              RouteStats *stats, const RouteOptions &options)
@@ -173,9 +81,8 @@ routeCircuit(const Circuit &circuit, const Device &device,
             " qubits but " + device.name() + " has only " +
             std::to_string(device.numQubits()));
     }
-    const Router &router = routerFor(options.router);
     obs::Span span("route.circuit", "route");
-    span.arg("router", router.name());
+    span.arg("router", routerName(options.router));
     obs::Sink *sink = obs::sink();
     // Keep per-run counters even when the caller does not ask for
     // them, so the metrics snapshot is complete.
@@ -183,7 +90,15 @@ routeCircuit(const Circuit &circuit, const Device &device,
     if (stats == nullptr && sink != nullptr)
         stats = &local;
 
-    Circuit routed = router.route(circuit, device, stats, options);
+    Circuit routed;
+    switch (options.router) {
+      case RouterKind::Ctr:
+        routed = routeCtr(circuit, device, stats, options);
+        break;
+      case RouterKind::Sabre:
+        routed = routeSabre(circuit, device, stats, options);
+        break;
+    }
     if (sink != nullptr && stats != nullptr) {
         flushRouteStats(sink, *stats);
         span.arg("gates_in", circuit.size());

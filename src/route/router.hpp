@@ -1,19 +1,18 @@
 /**
  * @file
- * Routing as a strategy: shared stats/options types, the `Router`
- * interface, and the dispatching `routeCircuit` entry point.
- *
- * Two backends exist today:
+ * Routing: shared stats/options types and the `routeCircuit` entry
+ * point, which dispatches on `RouteOptions::router` to one of two
+ * backends:
  *
  *  - `ctr` (route/ctr.hpp): the paper's Connectivity Tree Reroute —
  *    walk gates in program order, pay a SWAP chain (and swap-back)
- *    per distant CNOT. Reference semantics; also provides the
- *    meet-in-middle and dynamic-layout variants.
+ *    per distant CNOT. The paper reference.
  *  - `sabre` (route/sabre.hpp): SABRE-style lookahead routing over
  *    the commutation-aware dependency DAG — SWAPs are scored against
  *    the frontier of ready CNOTs plus a decayed lookahead window and
  *    persist in a dynamic layout; an epilogue restores the identity
- *    layout so the unitary matches `ctr` exactly.
+ *    layout so the unitary matches `ctr` exactly. The production
+ *    router.
  *
  * Both interpret circuit wires as physical qubits (apply a placement
  * first) and emit only native-direction CNOTs.
@@ -57,8 +56,8 @@ struct RouteStats
     /** SWAPs chosen by the sabre lookahead heuristic (subset of
      *  swapsInserted; 0 under ctr). */
     size_t lookaheadSwaps = 0;
-    /** SWAPs spent restoring the identity layout in the epilogue
-     *  (subset of swapsInserted; 0 under swap-back ctr). */
+    /** SWAPs spent restoring the identity layout in the sabre
+     *  epilogue (subset of swapsInserted; 0 under ctr). */
     size_t restoreSwaps = 0;
 };
 
@@ -69,14 +68,6 @@ struct RouteOptions
     RouterKind router = RouterKind::Ctr;
 
     /**
-     * Ablation variant of ctr: instead of walking the control all the
-     * way to the target's neighborhood (the paper's CTR), walk control
-     * and target toward each other and meet in the middle. Same
-     * legality, different SWAP counts.
-     */
-    bool meetInMiddle = false;
-
-    /**
      * Fidelity-aware path selection: when the device carries
      * calibration data, SWAP paths (ctr) and lookahead distances
      * (sabre) minimize accumulated two-qubit error (-log(1-e) edge
@@ -84,15 +75,6 @@ struct RouteOptions
      * and operator fidelity" cost direction.
      */
     bool fidelityAware = false;
-
-    /**
-     * Dynamic-layout ctr (extension): SWAPs persist instead of being
-     * undone after every CNOT; a permutation-repair epilogue restores
-     * the original assignment at the end so the overall unitary is
-     * unchanged. Usually far fewer SWAPs on reroute-heavy circuits.
-     * Ignored by sabre, which is always dynamic-layout.
-     */
-    bool dynamicLayout = false;
 
     /**
      * Sabre: how many not-yet-ready CNOTs beyond the frontier join
@@ -111,34 +93,14 @@ struct RouteOptions
     bool testOmitSwapBack = false;
 };
 
-/** One routing strategy. Implementations are stateless; `route` may
- *  be called concurrently. */
-class Router
-{
-  public:
-    virtual ~Router() = default;
-
-    /** The strategy's stable name (== routerName of its kind). */
-    virtual const char *name() const = 0;
-
-    /**
-     * Legalize a primitive-level circuit (single-qubit gates, CNOTs,
-     * measures, barriers) for `device`. Wires are physical qubits.
-     * Throws MappingError when the circuit is wider than the device
-     * or endpoints are disconnected.
-     */
-    virtual Circuit route(const Circuit &circuit, const Device &device,
-                          RouteStats *stats,
-                          const RouteOptions &options) const = 0;
-};
-
-/** The registered strategy for `kind` (static lifetime). */
-const Router &routerFor(RouterKind kind);
-
 /**
- * Route `circuit` with the strategy selected by `options.router`,
- * with the shared width check, the `route.circuit` span, and the
- * `route.*` metrics flush wrapped around the backend.
+ * Legalize a primitive-level circuit (single-qubit gates, CNOTs,
+ * measures, barriers) for `device` with the strategy selected by
+ * `options.router`, with the shared width check, the `route.circuit`
+ * span, and the `route.*` metrics flush wrapped around the backend.
+ * Wires are physical qubits. Throws MappingError when the circuit is
+ * wider than the device or endpoints are disconnected. Stateless; may
+ * be called concurrently.
  */
 Circuit routeCircuit(const Circuit &circuit, const Device &device,
                      RouteStats *stats = nullptr,
@@ -146,29 +108,10 @@ Circuit routeCircuit(const Circuit &circuit, const Device &device,
 
 namespace detail {
 
-/** Rebuild one gate with every wire sent through `layout`
- *  (layout[v] = physical qubit currently holding wire v). Mirrors
- *  Circuit::remapped gate-by-gate, without the temporary circuit. */
-Gate remapGate(const Gate &gate, const std::vector<Qubit> &layout);
-
 /** Account for one CNOT realized against the coupling direction
  *  (appendReversedCnot): owns the full bookkeeping — the reversal
  *  counter and its four Hadamards. */
 void countReversal(RouteStats *stats);
-
-/**
- * Permutation-repair epilogue shared by the dynamic-layout routers:
- * emit SWAPs restoring the identity layout (`inv[p] == p` for every
- * physical p). Each misplaced wire is fixed with a there-and-back SWAP
- * chain along a shortest path — a transposition of the endpoints that
- * leaves every intermediate wire untouched, so positions repaired
- * earlier stay repaired on any topology (a one-way chain would drag
- * wires through already-fixed positions on grids). Updates pos/inv,
- * bumps swapsInserted/restoreSwaps, and returns the SWAP count.
- */
-size_t restoreIdentityLayout(Circuit &out, const CouplingMap &map,
-                             std::vector<Qubit> &pos,
-                             std::vector<Qubit> &inv, RouteStats *stats);
 
 } // namespace detail
 

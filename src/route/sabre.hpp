@@ -27,10 +27,9 @@
 namespace qsyn::route {
 
 /**
- * The lookahead backend. Called by the dispatcher in router.cpp after
- * the width check; use `routeCircuit` with
- * `options.router = RouterKind::Sabre` instead unless you
- * specifically want to bypass strategy selection.
+ * The lookahead backend. Called by `routeCircuit` after the width
+ * check; use that with `options.router = RouterKind::Sabre` instead
+ * unless you specifically want to bypass strategy selection.
  */
 Circuit routeSabre(const Circuit &circuit, const Device &device,
                    RouteStats *stats, const RouteOptions &options);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/obs.hpp"
 
@@ -15,6 +16,15 @@ Json::find(const std::string &key) const
         return nullptr;
     auto it = object.find(key);
     return it == object.end() ? nullptr : &it->second;
+}
+
+const Json &
+Json::at(const std::string &key) const
+{
+    const Json *v = find(key);
+    if (v == nullptr)
+        throw std::out_of_range("JSON member '" + key + "' missing");
+    return *v;
 }
 
 std::string

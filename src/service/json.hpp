@@ -49,6 +49,10 @@ struct Json
     /** Member lookup; null when absent or not an object. */
     const Json *find(const std::string &key) const;
 
+    /** Member lookup for callers that treat a missing member as a
+     *  bug: throws std::out_of_range when absent or not an object. */
+    const Json &at(const std::string &key) const;
+
     /** Typed member accessors with defaults (missing/mistyped =
      *  default) — the tolerant reads the request decoder wants. */
     std::string stringOr(const std::string &key,

@@ -122,8 +122,8 @@ TEST(Dag, BarrierFencesAllWires)
     c.add(Gate::barrier({1}));
     c.add(Gate::h(1));
     DependencyDag dag(c);
-    // The barrier fences the whole register (scheduleAsap semantics),
-    // so even the wire-0 gate precedes it.
+    // The barrier fences the whole register, so even the wire-0 gate
+    // precedes it.
     EXPECT_TRUE(dag.hasEdge(0, 1));
     EXPECT_TRUE(dag.hasEdge(1, 2));
     EXPECT_EQ(dag.depth(), 3u);
@@ -172,6 +172,35 @@ TEST(Dag, MetricsSummarizeStructure)
     EXPECT_EQ(circuitDepth(c), 2u);
 }
 
+TEST(Dag, PlainLayersPartitionTheGatesWithoutSharingAWire)
+{
+    // With commutation off the layers are the ASAP schedule: every
+    // gate lands in exactly one layer and no layer touches a wire
+    // twice. The commutation-aware DAG only ever relaxes edges, so
+    // its depth can only be lower.
+    RandomCircuitOptions ropts;
+    ropts.numQubits = 5;
+    ropts.numGates = 60;
+    ropts.seed = 4;
+    Circuit c = randomCircuit(ropts);
+    DagOptions plain;
+    plain.commutationAware = false;
+    DependencyDag dag(c, plain);
+    size_t total = 0;
+    for (const std::vector<size_t> &layer : dag.layers()) {
+        total += layer.size();
+        std::vector<bool> used(c.numQubits(), false);
+        for (size_t index : layer) {
+            for (Qubit q : c[index].qubits()) {
+                EXPECT_FALSE(used[q]) << "wire " << q;
+                used[q] = true;
+            }
+        }
+    }
+    EXPECT_EQ(total, c.size());
+    EXPECT_LE(DependencyDag(c).depth(), dag.depth());
+}
+
 // ----------------------------------------------------------- dataflow
 
 TEST(Dataflow, DeadAndLiveWires)
@@ -200,6 +229,58 @@ TEST(Dataflow, ReachabilityFollowsDependencies)
     EXPECT_TRUE(df.reaches(1, 2));
     EXPECT_FALSE(df.reaches(2, 0));
     EXPECT_EQ(df.reachableFrom(0), (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(Dataflow, IdleWireLayers)
+{
+    // Wire 0 runs in layers 0 and 2 and waits out layer 1 while wire
+    // 1 runs its T (which does not commute with the CNOT's target):
+    // one idle wire-layer. Wire 1 is busy throughout.
+    Circuit c(2, "idle");
+    c.add(Gate::h(0));
+    c.add(Gate::h(1));
+    c.add(Gate::t(1));
+    c.add(Gate::cnot(0, 1));
+    DependencyDag dag(c);
+    ASSERT_EQ(dag.depth(), 3u);
+    DataflowAnalysis df(dag);
+    EXPECT_EQ(df.wire(0).idleLayers, 1u);
+    EXPECT_EQ(df.wire(1).idleLayers, 0u);
+    EXPECT_EQ(df.idleWireLayers(), 1u);
+}
+
+TEST(Dataflow, CommutingLaterGateInAnEarlierLayer)
+{
+    // T(0) is diagonal on the CNOT's control, so it commutes with it
+    // and lands in layer 0 while the CNOT waits for H(2) in layer 1.
+    // Wire 0's uses are in layers 1 and 0: no idle layer, and the
+    // wire is live in layer 0 although its first gate is not there.
+    Circuit c(3, "commuting");
+    c.add(Gate::h(2));
+    c.add(Gate::cnot(0, 2));
+    c.add(Gate::t(0));
+    DependencyDag dag(c);
+    ASSERT_EQ(dag.node(1).asapLayer, 1u);
+    ASSERT_EQ(dag.node(2).asapLayer, 0u);
+    DataflowAnalysis df(dag);
+    EXPECT_EQ(df.wire(0).idleLayers, 0u);
+    EXPECT_EQ(df.idleWireLayers(), 0u);
+    EXPECT_TRUE(df.liveAt(0, 0));
+    EXPECT_TRUE(df.liveAt(0, 1));
+    EXPECT_FALSE(df.liveAt(0, 2));
+}
+
+TEST(Dataflow, BarrierLayerCountsAsIdle)
+{
+    // The barrier fences wire 0 into three layers but is not a use of
+    // it, so the wire sits idle through the barrier's layer.
+    Circuit c(2, "fenced");
+    c.add(Gate::h(0));
+    c.add(Gate::barrier({0, 1}));
+    c.add(Gate::h(0));
+    DependencyDag dag(c);
+    ASSERT_EQ(dag.depth(), 3u);
+    EXPECT_EQ(DataflowAnalysis(dag).idleWireLayers(), 1u);
 }
 
 TEST(Dataflow, BarrierIsNotAUse)

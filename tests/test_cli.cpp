@@ -48,15 +48,13 @@ TEST(CliParse, AllTheFlags)
 {
     CliOptions opts = parseCliArguments(
         {"-d", "ibmqx5", "-o", "out.qasm", "--placement", "greedy",
-         "--mcx", "dirty", "--meet-in-middle", "--weight-t", "2",
-         "--weight-cnot", "0.5", "--weight-gate", "3", "--no-verify",
-         "--quiet", "in.real"});
+         "--mcx", "dirty", "--weight-t", "2", "--weight-cnot", "0.5",
+         "--weight-gate", "3", "--no-verify", "--quiet", "in.real"});
     EXPECT_EQ(opts.deviceName, "ibmqx5");
     EXPECT_EQ(opts.outputPath, "out.qasm");
     EXPECT_EQ(opts.compile.placement, route::PlacementStrategy::Greedy);
     EXPECT_EQ(opts.compile.mcxStrategy,
               decompose::McxStrategy::DirtyVChain);
-    EXPECT_TRUE(opts.compile.routing.meetInMiddle);
     EXPECT_DOUBLE_EQ(opts.compile.optimizer.weights.tWeight, 2.0);
     EXPECT_DOUBLE_EQ(opts.compile.optimizer.weights.cnotWeight, 0.5);
     EXPECT_DOUBLE_EQ(opts.compile.optimizer.weights.gateWeight, 3.0);

@@ -3,7 +3,8 @@
  * Error-path tests for the installed tools (qsync, qverify, qsim),
  * run as real subprocesses: every malformed invocation must exit with
  * a nonzero code and a diagnostic on stderr — never a crash, never an
- * uncaught exception, never silence.
+ * uncaught exception, never silence. Also checks that the figures
+ * qsync prints from different flags agree with each other.
  *
  * The tool directory arrives via the QSYN_TOOL_DIR environment
  * variable (set by tests/CMakeLists.txt from the build tree).
@@ -80,6 +81,23 @@ scratchFile(const std::string &name, const std::string &content)
 }
 
 const char *kBadQasm = "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[5];\n";
+
+/** The number printed after `key` on the line of a qsync stats dump
+ *  that starts with `label`, or -1 when either is missing. Parsed as
+ *  a double so a wrapped-around unsigned figure still compares. */
+double
+numberAfter(const std::string &output, const std::string &label,
+            const std::string &key)
+{
+    size_t line = output.find(label);
+    if (line == std::string::npos)
+        return -1;
+    size_t end = output.find('\n', line);
+    size_t at = output.find(key, line);
+    if (at == std::string::npos || at > end)
+        return -1;
+    return std::stod(output.substr(at + key.size()));
+}
 
 } // namespace
 
@@ -188,6 +206,34 @@ TEST(QsyncErrors, UnknownDevice)
         "ok.qasm", "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n");
     expectDiagnosedFailure(
         runTool("qsync", "--device not_a_machine " + ok), "error");
+}
+
+TEST(QsyncFigures, ScheduleAndAnalyzeAgreeOnDepth)
+{
+    // --schedule and --analyze both describe the compiled circuit's
+    // dependency DAG, so their depths must be the same number. A wire
+    // can be idle in at most every layer, so the idle figure is at
+    // most depth x width.
+    for (const char *name : {"toffoli.qasm", "adder.pla",
+                             "clifford_t.qc", "mod5_cascade.real"}) {
+        std::string input = std::string(QSYN_DATA_DIR) + "/" + name;
+        RunResult res =
+            runTool("qsync", "--schedule --analyze --no-emit " + input);
+        ASSERT_EQ(res.exitCode, 0) << res.output;
+        double schedule =
+            numberAfter(res.output, "schedule:          ", "depth ");
+        double analysis =
+            numberAfter(res.output, "analysis:          ", "depth ");
+        EXPECT_GT(schedule, 0) << name << "\n" << res.output;
+        EXPECT_EQ(schedule, analysis) << name << "\n" << res.output;
+        double width =
+            numberAfter(res.output, "device:            ", " (");
+        double idle = numberAfter(res.output, "schedule:          ",
+                                  "idle wire-layers ");
+        ASSERT_GT(width, 0) << name << "\n" << res.output;
+        ASSERT_GE(idle, 0) << name << "\n" << res.output;
+        EXPECT_LE(idle, schedule * width) << name << "\n" << res.output;
+    }
 }
 
 // ---------------------------------------------------------------------

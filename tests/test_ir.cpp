@@ -143,16 +143,6 @@ TEST(CircuitTest, Stats)
     EXPECT_EQ(s.cnotCount, 1u);
     EXPECT_EQ(s.twoQubit, 1u);
     EXPECT_EQ(s.multiQubit, 1u);
-    EXPECT_GE(s.depth, 3u);
-}
-
-TEST(CircuitTest, DepthComputesCriticalPath)
-{
-    Circuit c(2);
-    c.addH(0);
-    c.addH(1); // parallel with the first
-    c.addCnot(0, 1);
-    EXPECT_EQ(computeStats(c).depth, 2u);
 }
 
 TEST(CircuitTest, Remapped)

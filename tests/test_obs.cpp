@@ -18,14 +18,13 @@
 #include "ir/circuit.hpp"
 #include "qmdd/package.hpp"
 
-#include "test_json_util.hpp"
+#include "service/json.hpp"
 
 using namespace qsyn;
 
 namespace {
 
-using testjson::Json;
-using testjson::parseJson;
+using service::Json;
 
 } // namespace
 
@@ -50,7 +49,11 @@ TEST(ObsJsonEscape, EdgeCases)
 TEST(ObsJsonEscape, RoundTripsThroughParser)
 {
     std::string nasty = "he said \"q\\b\"\n\ttab\x01end";
-    Json v = parseJson("\"" + obs::jsonEscape(nasty) + "\"");
+    Json v;
+    std::string error;
+    ASSERT_TRUE(service::parseJson("\"" + obs::jsonEscape(nasty) + "\"",
+                                   &v, &error))
+        << error;
     ASSERT_EQ(v.type, Json::Type::String);
     EXPECT_EQ(v.str, nasty);
 }
@@ -121,7 +124,9 @@ TEST(ObsMetrics, JsonSnapshotRoundTrips)
     m.observe("route.reroute_path_length", 3.0);
     m.observe("route.reroute_path_length", 5.0);
 
-    Json v = parseJson(m.toJson());
+    Json v;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(m.toJson(), &v, &error)) << error;
     EXPECT_DOUBLE_EQ(
         v.at("counters").at("route.swaps_inserted").number, 12.0);
     EXPECT_DOUBLE_EQ(v.at("gauges").at("qmdd.unique_hit_rate").number,
@@ -138,7 +143,9 @@ TEST(ObsMetrics, JsonSnapshotRoundTrips)
 TEST(ObsMetrics, EmptyRegistryStillValidJson)
 {
     obs::MetricsRegistry m;
-    Json v = parseJson(m.toJson());
+    Json v;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(m.toJson(), &v, &error)) << error;
     EXPECT_EQ(v.at("counters").object.size(), 0u);
     EXPECT_EQ(v.at("gauges").object.size(), 0u);
     EXPECT_EQ(v.at("histograms").object.size(), 0u);
@@ -178,7 +185,10 @@ TEST(ObsSpan, RecordsEventWithArgs)
     EXPECT_GE(events[0].tsUs, 0.0);
 
     // The full trace export (with the odd string arg) must parse.
-    Json v = parseJson(sink->traceJson());
+    Json v;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(sink->traceJson(), &v, &error))
+        << error;
     const Json &list = v.at("traceEvents");
     ASSERT_EQ(list.type, Json::Type::Array);
     // [0] is the process_name metadata record.
@@ -260,7 +270,10 @@ TEST(ObsSink, TraceJsonAlwaysParses)
 {
     obs::ScopedSink sink;
     // No events at all: still a valid document with the metadata row.
-    Json empty = parseJson(sink->traceJson());
+    Json empty;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(sink->traceJson(), &empty, &error))
+        << error;
     EXPECT_EQ(empty.at("traceEvents").array.size(), 1u);
     EXPECT_EQ(empty.at("displayTimeUnit").str, "ms");
 }
@@ -337,7 +350,10 @@ TEST(ObsMetrics, PackagePublishesAllocatorAndTableInternals)
     EXPECT_GE(m.gauge("qmdd.unique_rehashes"), 1.0);
     // Per-cache eviction counters are present (zero is fine for a
     // circuit this small, but the gauges themselves must exist).
-    Json v = parseJson(sink->metricsJson());
+    Json v;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(sink->metricsJson(), &v, &error))
+        << error;
     for (const char *g :
          {"qmdd.mul_evictions", "qmdd.add_evictions",
           "qmdd.ct_evictions", "qmdd.live_nodes", "qmdd.peak_nodes"})

@@ -22,11 +22,10 @@
 #include "obs/obs.hpp"
 #include "obs/rusage.hpp"
 
-#include "test_json_util.hpp"
+#include "service/json.hpp"
 
 using namespace qsyn;
-using testjson::Json;
-using testjson::parseJson;
+using service::Json;
 
 namespace {
 
@@ -121,11 +120,13 @@ TEST(ObsHistogram, MetricsJsonCarriesQuantiles)
     obs::MetricsRegistry m;
     for (int i = 1; i <= 100; ++i)
         m.observe("lat", static_cast<double>(i));
-    Json v = parseJson(m.toJson());
+    Json v;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(m.toJson(), &v, &error)) << error;
     const Json &h = v.at("histograms").at("lat");
-    EXPECT_TRUE(h.has("p50"));
-    EXPECT_TRUE(h.has("p95"));
-    EXPECT_TRUE(h.has("p99"));
+    EXPECT_NE(h.find("p50"), nullptr);
+    EXPECT_NE(h.find("p95"), nullptr);
+    EXPECT_NE(h.find("p99"), nullptr);
     // Bucket resolution bounds accuracy; the estimates must at least
     // be ordered and inside the observed range.
     double p50 = h.at("p50").number;
@@ -230,13 +231,14 @@ TEST(ObsMetricsStress, ConcurrentWritersAndExporters)
     // unparseable snapshot.
     std::thread exporter([&] {
         while (!stop.load(std::memory_order_relaxed)) {
-            EXPECT_NO_THROW(parseJson(m.toJson()));
+            Json snapshot;
+            EXPECT_TRUE(service::parseJson(m.toJson(), &snapshot));
             std::string prom = m.toPrometheus();
             EXPECT_TRUE(prom.empty() ||
                         prom.rfind("# TYPE", 0) == 0);
             std::string viaTry;
             if (m.tryToJson(&viaTry)) {
-                EXPECT_NO_THROW(parseJson(viaTry));
+                EXPECT_TRUE(service::parseJson(viaTry, &snapshot));
             }
         }
     });
@@ -269,7 +271,9 @@ TEST(ObsMetricsStress, TryToJsonSucceedsUncontended)
     m.addCounter("c", 2);
     std::string out;
     ASSERT_TRUE(m.tryToJson(&out));
-    Json v = parseJson(out);
+    Json v;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(out, &v, &error)) << error;
     EXPECT_DOUBLE_EQ(v.at("counters").at("c").number, 2.0);
 }
 
@@ -396,7 +400,10 @@ TEST(ObsFlight, WriteCrashDumpProducesParseableJson)
     span.finish();
 
     ASSERT_FALSE(path.empty());
-    Json v = parseJson(slurp(path));
+    Json v;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(slurp(path), &v, &error))
+        << error;
     EXPECT_DOUBLE_EQ(v.at("qsyn_crash_version").number, 1.0);
     EXPECT_EQ(v.at("signal").str, "TEST");
     EXPECT_GT(v.at("pid").number, 0.0);

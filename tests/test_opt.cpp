@@ -11,7 +11,6 @@
 #include "device/registry.hpp"
 #include "ir/random_circuit.hpp"
 #include "opt/pipeline.hpp"
-#include "opt/schedule.hpp"
 #include "qmdd/equivalence.hpp"
 #include "route/ctr.hpp"
 
@@ -330,74 +329,4 @@ TEST(Pipeline, RoutedCircuitStaysLegalAfterOptimization)
     dd::Package pkg;
     dd::EquivalenceChecker checker(pkg);
     EXPECT_TRUE(dd::isEquivalent(checker.check(routed, out)));
-}
-
-// ---------------------------------------------------------------------
-// ASAP scheduling.
-// ---------------------------------------------------------------------
-
-TEST(ScheduleTest, ParallelGatesShareALayer)
-{
-    Circuit c(3);
-    c.addH(0);
-    c.addH(1);
-    c.addH(2);
-    c.addCnot(0, 1);
-    opt::Schedule s = opt::scheduleAsap(c);
-    ASSERT_EQ(s.depth(), 2u);
-    EXPECT_EQ(s.layers[0].size(), 3u);
-    EXPECT_EQ(s.layers[1].size(), 1u);
-}
-
-TEST(ScheduleTest, DependenciesSerializeAndDepthMatchesStats)
-{
-    Rng rng(4);
-    RandomCircuitOptions opts;
-    opts.numQubits = 5;
-    opts.numGates = 60;
-    Circuit c = randomCircuit(rng, opts);
-    opt::Schedule s = opt::scheduleAsap(c);
-    // ASAP depth equals the critical path computed by computeStats.
-    EXPECT_EQ(s.depth(), computeStats(c).depth);
-    // Every gate appears exactly once.
-    size_t total = 0;
-    for (const auto &layer : s.layers)
-        total += layer.size();
-    EXPECT_EQ(total, c.size());
-    // No layer contains two gates sharing a wire.
-    for (const auto &layer : s.layers) {
-        std::vector<bool> used(c.numQubits(), false);
-        for (size_t index : layer) {
-            for (Qubit q : c[index].qubits()) {
-                EXPECT_FALSE(used[q]);
-                used[q] = true;
-            }
-        }
-    }
-}
-
-TEST(ScheduleTest, BarrierFencesLayers)
-{
-    Circuit c(2);
-    c.addH(0);
-    c.add(Gate::barrier({0, 1}));
-    c.addH(1); // independent of H(0), but fenced behind the barrier
-    opt::Schedule s = opt::scheduleAsap(c);
-    EXPECT_EQ(s.depth(), 3u);
-}
-
-TEST(ScheduleTest, StatsIdleAndParallelism)
-{
-    Circuit c(2);
-    c.addH(0);
-    c.addT(0);
-    c.addCnot(0, 1); // wire 1 first touched here: no idle for it
-    opt::Schedule s = opt::scheduleAsap(c);
-    opt::ScheduleStats stats = opt::computeScheduleStats(c, s);
-    EXPECT_EQ(stats.depth, 3u);
-    EXPECT_EQ(stats.gates, 3u);
-    EXPECT_NEAR(stats.parallelism, 1.0, 1e-12);
-    EXPECT_EQ(stats.idleWireLayers, 0u);
-    EXPECT_NE(opt::scheduleToString(c, s).find("t2:"),
-              std::string::npos);
 }

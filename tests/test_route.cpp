@@ -13,9 +13,8 @@
 #include "device/registry.hpp"
 #include "ir/random_circuit.hpp"
 #include "qmdd/equivalence.hpp"
-#include "route/ctr.hpp"
 #include "route/placement.hpp"
-#include "route/sabre.hpp"
+#include "route/router.hpp"
 
 using namespace qsyn;
 using namespace qsyn::route;
@@ -128,21 +127,6 @@ TEST(Ctr, RandomCircuitsStayEquivalentOnEveryIbmDevice)
     }
 }
 
-TEST(Ctr, MeetInMiddleVariantAlsoLegalAndEquivalent)
-{
-    Device dev = makeIbmqx3();
-    Circuit c(16);
-    c.addCnot(5, 10);
-    c.addCnot(0, 9);
-    RouteOptions opts;
-    opts.meetInMiddle = true;
-    RouteStats stats;
-    Circuit routed = routeCircuit(c, dev, &stats, opts);
-    expectLegal(routed, dev);
-    EXPECT_TRUE(sameUnitary(c, routed));
-    EXPECT_EQ(stats.reroutedCnots, 2u);
-}
-
 TEST(Ctr, SimulatorNeedsNoRouting)
 {
     Device dev = Device::simulator(8);
@@ -194,45 +178,25 @@ TEST(Ctr, ExactCountersOnReversedReroute)
     EXPECT_TRUE(sameUnitary(c, routed));
 }
 
-TEST(Ctr, ExactCountersOnReversedRerouteDynamicLayout)
+TEST(Sabre, ExactCountersOnReversedReroute)
 {
-    // Same far-end reversal under the persistent-swap variant.
+    // Same far-end reversal under the lookahead router: one heuristic
+    // SWAP brings q0's wire next to q2, the CNOT runs against the only
+    // edge (2 -> 1), and the epilogue spends one SWAP restoring the
+    // identity layout. Nothing needs the forced reroute.
     Device dev = makeInwardV();
     Circuit c(3);
     c.addCnot(0, 2);
     RouteOptions opts;
-    opts.dynamicLayout = true;
+    opts.router = RouterKind::Sabre;
     RouteStats stats;
     Circuit routed = routeCircuit(c, dev, &stats, opts);
-    EXPECT_EQ(stats.reroutedCnots, 1u);
+    EXPECT_EQ(stats.reroutedCnots, 0u);
     EXPECT_EQ(stats.reversedCnots, 1u);
     EXPECT_EQ(stats.hInserted, 4u);
-    EXPECT_EQ(stats.swapsInserted, 2u); // 1 out + 1 restore
+    EXPECT_EQ(stats.swapsInserted, 2u); // 1 lookahead + 1 restore
+    EXPECT_EQ(stats.lookaheadSwaps, 1u);
     EXPECT_EQ(stats.restoreSwaps, 1u);
-    expectLegal(routed, dev);
-    EXPECT_TRUE(sameUnitary(c, routed));
-}
-
-TEST(Ctr, ExactCountersOnMeetInMiddleReversedLanding)
-{
-    // Directed chain 2 -> 1 -> 0. CNOT(0, 2) meet-in-middle: path
-    // [0, 1, 2], the control stays at q0, the target walks q2 -> q1
-    // (one SWAP each way), and the meeting CNOT q0 -> q1 runs against
-    // the native 1 -> 0 direction, so it must reverse — and count.
-    CouplingMap map(3);
-    map.addEdge(1, 0);
-    map.addEdge(2, 1);
-    Device dev("chain_down", 3, map);
-    Circuit c(3);
-    c.addCnot(0, 2);
-    RouteOptions opts;
-    opts.meetInMiddle = true;
-    RouteStats stats;
-    Circuit routed = routeCircuit(c, dev, &stats, opts);
-    EXPECT_EQ(stats.reroutedCnots, 1u);
-    EXPECT_EQ(stats.reversedCnots, 1u);
-    EXPECT_EQ(stats.hInserted, 4u);
-    EXPECT_EQ(stats.swapsInserted, 2u);
     expectLegal(routed, dev);
     EXPECT_TRUE(sameUnitary(c, routed));
 }
@@ -294,72 +258,34 @@ TEST(Placement, ApplyPlacementRemapsWires)
     EXPECT_EQ(placed[0].target(), 11u);
 }
 
-TEST(DynamicRouting, LegalEquivalentAndFewerSwapsOnHeavyWorkloads)
+TEST(Sabre, SingleQubitGatesFollowTheLayout)
 {
-    Device dev = makeIbmqx3();
-    Rng rng(19);
-    Circuit c(10, "heavy");
-    for (int i = 0; i < 25; ++i) {
-        Qubit a = static_cast<Qubit>(rng.below(10));
-        Qubit b = static_cast<Qubit>(rng.below(10));
-        if (a != b)
-            c.addCnot(a, b);
-    }
-
-    RouteStats ctr_stats;
-    Circuit ctr = routeCircuit(c, dev, &ctr_stats);
-
-    RouteOptions dyn_opts;
-    dyn_opts.dynamicLayout = true;
-    RouteStats dyn_stats;
-    Circuit dyn = routeCircuit(c, dev, &dyn_stats, dyn_opts);
-
-    expectLegal(dyn, dev);
-    EXPECT_TRUE(sameUnitary(c, dyn));
-    // Persistent swaps + one repair epilogue beat per-gate swap-back.
-    EXPECT_LT(dyn_stats.swapsInserted, ctr_stats.swapsInserted);
-}
-
-TEST(DynamicRouting, SingleQubitGatesFollowTheLayout)
-{
-    // A CNOT reroute moves wires; a later T on a moved wire must land
-    // on the wire's *current* physical home, and the epilogue must
-    // still restore the overall unitary.
+    // SWAPs move wires; a later gate on a moved wire must land on the
+    // wire's *current* physical home, and the epilogue must still
+    // restore the overall unitary. H does not commute with the CNOT's
+    // control and T does not commute with its target, so both run
+    // after the SWAPs rather than as roots through the identity
+    // layout.
     Device dev = makeIbmqx3();
     Circuit c(16, "follow");
-    c.addCnot(5, 10); // forces swaps through q12/q11
-    c.addT(5);
-    c.addH(12);
+    c.addCnot(5, 10); // not adjacent on ibmqx3: needs swaps
+    c.addH(5);
+    c.addT(10);
     RouteOptions opts;
-    opts.dynamicLayout = true;
-    Circuit routed = routeCircuit(c, dev, nullptr, opts);
+    opts.router = RouterKind::Sabre;
+    RouteStats stats;
+    Circuit routed = routeCircuit(c, dev, &stats, opts);
     expectLegal(routed, dev);
+    EXPECT_GT(stats.swapsInserted, 0u);
     EXPECT_TRUE(sameUnitary(c, routed));
 }
 
-TEST(DynamicRouting, MeasurementsFollowTheLayout)
-{
-    Device dev = makeIbmqx4();
-    Circuit c(5, "measured");
-    c.addCnot(0, 4); // needs rerouting on qx4
-    c.add(Gate::measure(0, 0));
-    RouteOptions opts;
-    opts.dynamicLayout = true;
-    Circuit routed = routeCircuit(c, dev, nullptr, opts);
-    size_t measures = 0;
-    for (const Gate &g : routed) {
-        if (g.kind() == GateKind::Measure)
-            ++measures;
-    }
-    EXPECT_EQ(measures, 1u);
-}
-
-TEST(DynamicRouting, WideCircuitWithManySingleQubitGates)
+TEST(Sabre, WideCircuitWithManySingleQubitGates)
 {
     // The 96-qubit machine with thousands of single-qubit gates: the
-    // case the per-gate remap used to make quadratic. Every 1q gate
-    // must land on its wire's current physical home and survive the
-    // reroutes around it.
+    // case a per-gate remap through a temporary circuit makes
+    // quadratic. Every 1q gate must land on its wire's current
+    // physical home and survive the SWAPs around it.
     Device dev = makeProposed96();
     Rng rng(77);
     Circuit c(96, "wide");
@@ -377,7 +303,7 @@ TEST(DynamicRouting, WideCircuitWithManySingleQubitGates)
             c.addCnot(a, b);
     }
     RouteOptions opts;
-    opts.dynamicLayout = true;
+    opts.router = RouterKind::Sabre;
     RouteStats stats;
     Circuit routed = routeCircuit(c, dev, &stats, opts);
     expectLegal(routed, dev);
@@ -534,6 +460,4 @@ TEST(Router, NamesRoundTrip)
     EXPECT_EQ(kind, RouterKind::Ctr);
     EXPECT_FALSE(parseRouterName("astar", &kind));
     EXPECT_EQ(kind, RouterKind::Ctr); // untouched on failure
-    EXPECT_STREQ(routerFor(RouterKind::Sabre).name(), "sabre");
-    EXPECT_STREQ(routerFor(RouterKind::Ctr).name(), "ctr");
 }

@@ -9,8 +9,8 @@
  * diffs rather than anecdotes.
  *
  * Self-timed (median wall time over --reps runs) on purpose: no
- * google-benchmark dependency, so it builds in every configuration and
- * its output schema is fully under our control.
+ * benchmark-library dependency, so it builds in every configuration
+ * and its output schema is fully under our control.
  *
  * usage: qbench [--smoke] [--reps N] [--out FILE]
  */
