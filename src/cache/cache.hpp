@@ -30,7 +30,7 @@ namespace qsyn::cache {
  * entries become unreachable (and age out by LRU) instead of being
  * replayed incorrectly.
  */
-inline constexpr const char *kCacheVersionSalt = "qsyn-cache-v5";
+inline constexpr const char *kCacheVersionSalt = "qsyn-cache-v6";
 
 struct CacheConfig
 {

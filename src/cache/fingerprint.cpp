@@ -176,7 +176,6 @@ equivalenceCacheKey(const Circuit &a, const Circuit &b,
     for (Qubit q : options.ancillaWires)
         fp.mixU64(q);
     fp.mixU64(options.nodeBudget);
-    fp.mixU64(options.useMiter ? 1 : 0);
     fp.mixDouble(options.approxEps);
     fp.mixU64(options.quickRefuteSamples);
     return fp.hex();

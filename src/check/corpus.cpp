@@ -69,8 +69,6 @@ compileOptionsToFlags(const CompileOptions &options)
 
     if (options.verify == VerifyMode::Off)
         push("--no-verify");
-    else if (options.verify == VerifyMode::Miter)
-        push("--verify-miter");
     return flags;
 }
 

@@ -109,8 +109,6 @@ parseCliArguments(const std::vector<std::string> &args)
             opts.compile.optimizeTechIndependent = false;
         } else if (arg == "--no-verify") {
             opts.compile.verify = VerifyMode::Off;
-        } else if (arg == "--verify-miter") {
-            opts.compile.verify = VerifyMode::Miter;
         } else if (arg == "--placement") {
             std::string value = next_value(arg);
             if (value == "identity")
@@ -297,8 +295,8 @@ cliHelpText()
         "      --no-optimize        skip local optimization\n"
         "      --no-ti-optimize     skip the technology-independent\n"
         "                           optimization round\n"
-        "      --no-verify          skip QMDD verification\n"
-        "      --verify-miter       alternating-miter verification\n"
+        "      --no-verify          skip QMDD verification (the check\n"
+        "                           is a projected alternating miter)\n"
         "      --draw               ASCII-draw input and output\n"
         "      --schedule           print depth/parallelism/idle-wire\n"
         "                           figures of the dependency DAG\n"

@@ -79,9 +79,7 @@ runRemote(const CliOptions &options, std::ostream &out,
                 Json::makeBool(options.compile.optimize);
             request.object["verify"] = Json::makeString(
                 options.compile.verify == VerifyMode::Off ? "off"
-                : options.compile.verify == VerifyMode::Miter
-                    ? "miter"
-                    : "full");
+                                                          : "full");
             request.object["placement"] = Json::makeString(
                 options.compile.placement ==
                         route::PlacementStrategy::Greedy

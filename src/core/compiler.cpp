@@ -37,6 +37,26 @@ diffStats(const dd::PackageStats &after, const dd::PackageStats &before)
     return d;
 }
 
+/** The `compile.verify.*` counter a verdict increments, so a metrics
+ *  snapshot shows how often each path decided. */
+const char *
+verdictCounter(dd::Equivalence verdict)
+{
+    switch (verdict) {
+      case dd::Equivalence::Equivalent:
+        return "compile.verify.equivalent";
+      case dd::Equivalence::EquivalentUpToPhase:
+        return "compile.verify.up_to_phase";
+      case dd::Equivalence::EquivalentApprox:
+        return "compile.verify.approx";
+      case dd::Equivalence::NotEquivalent:
+        return "compile.verify.not_equivalent";
+      case dd::Equivalence::Inconclusive:
+        return "compile.verify.inconclusive";
+    }
+    return "compile.verify.inconclusive";
+}
+
 } // namespace
 
 StageMetrics
@@ -179,8 +199,6 @@ Compiler::compile(const Circuit &input) const
             eopts.upToGlobalPhase = options_.verifyUpToGlobalPhase;
             eopts.ancillaWires = result.ancillas;
             eopts.nodeBudget = options_.verifyNodeBudget;
-            eopts.useMiter = options_.verify == VerifyMode::Miter &&
-                             result.ancillas.empty();
             dd::PackageStats before;
             if (shared)
                 before = package->threadStats();
@@ -196,6 +214,10 @@ Compiler::compile(const Circuit &input) const
             span.arg("verdict",
                      dd::equivalenceName(result.verification));
             span.arg("live_nodes", result.ddLiveNodes);
+            if (obs::Sink *s = obs::sink()) {
+                s->metrics().addCounter(
+                    verdictCounter(result.verification));
+            }
             if (result.verification == dd::Equivalence::NotEquivalent) {
                 throw VerificationError(
                     "compiled circuit for '" + input.name() +

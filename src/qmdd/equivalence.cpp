@@ -91,10 +91,15 @@ Equivalence
 EquivalenceChecker::checkMiter(const Circuit &a, const Circuit &b,
                                const EquivalenceOptions &opts)
 {
-    // Accumulate M = U_b . U_a^dagger, advancing whichever circuit is
-    // proportionally behind so M stays near the identity throughout.
-    Package::Session session(pkg_);
-    Edge m = pkg_.identityEdge();
+    // Accumulate M = U_b . P . U_a^dagger, advancing whichever circuit
+    // is proportionally behind so M stays near P throughout. The
+    // caller guarantees that a leaves the ancilla wires idle, so
+    // U_a commutes with P and M == P iff U_b . P == U_a . P.
+    obs::Span span("qmdd.miter");
+    const Edge p = opts.ancillaWires.empty()
+                       ? pkg_.identityEdge()
+                       : pkg_.makeProjector(opts.ancillaWires);
+    Edge m = p;
     size_t ia = 0, ib = 0;
     const size_t na = a.size(), nb = b.size();
     while (ia < na || ib < nb) {
@@ -122,11 +127,34 @@ EquivalenceChecker::checkMiter(const Circuit &a, const Circuit &b,
         if (pkg_.activeNodes() > pkg_.gcThreshold())
             pkg_.requestGc();
         if (pkg_.gcPending())
-            pkg_.safePoint({m});
+            pkg_.safePoint({m, p});
         if (opts.nodeBudget != 0 && pkg_.activeNodes() > opts.nodeBudget)
             return Equivalence::Inconclusive;
     }
-    return compareEdges(m, pkg_.identityEdge(), opts);
+    return compareEdges(m, p, opts);
+}
+
+Equivalence
+EquivalenceChecker::compareBuilds(const Circuit &a, const Circuit &b,
+                                  const EquivalenceOptions &opts)
+{
+    Edge start = opts.ancillaWires.empty()
+                     ? pkg_.identityEdge()
+                     : pkg_.makeProjector(opts.ancillaWires);
+
+    Edge ea;
+    {
+        obs::Span build_a("qmdd.build_reference");
+        if (!buildOnto(a, start, opts.nodeBudget, &ea, {start}))
+            return Equivalence::Inconclusive;
+    }
+    Edge eb;
+    {
+        obs::Span build_b("qmdd.build_candidate");
+        if (!buildOnto(b, start, opts.nodeBudget, &eb, {start, ea}))
+            return Equivalence::Inconclusive;
+    }
+    return compareEdges(ea, eb, opts);
 }
 
 namespace {
@@ -155,12 +183,29 @@ quickRefute(Package &pkg, const Circuit &a, const Circuit &b,
         }
         Edge input = engine.applyCircuit(prep,
                                          engine.makeBasisState(0, width));
-        Edge out_a = engine.applyCircuit(a, input);
-        Edge out_b = engine.applyCircuit(b, input);
+        // Each run keeps what the next steps still read alive through
+        // its GC safe points.
+        Edge out_a = engine.applyCircuit(a, input, {input});
+        Edge out_b = engine.applyCircuit(b, input, {out_a});
         double overlap = std::abs(engine.innerProduct(
             out_a, out_b, static_cast<int>(width)));
         if (std::abs(overlap - 1.0) > opts.approxEps)
             return true; // definite counterexample
+    }
+    return false;
+}
+
+/** True when a non-barrier gate of `circuit` acts on one of `wires`. */
+bool
+actsOnAny(const Circuit &circuit, const std::vector<Qubit> &wires)
+{
+    for (const Gate &g : circuit) {
+        if (g.kind() == GateKind::Barrier)
+            continue;
+        for (Qubit w : wires) {
+            if (g.usesQubit(w))
+                return true;
+        }
     }
     return false;
 }
@@ -171,6 +216,20 @@ Equivalence
 EquivalenceChecker::check(const Circuit &a, const Circuit &b,
                           const EquivalenceOptions &opts)
 {
+    return decide(a, b, opts, actsOnAny(a, opts.ancillaWires));
+}
+
+Equivalence
+EquivalenceChecker::checkDirect(const Circuit &a, const Circuit &b,
+                                const EquivalenceOptions &opts)
+{
+    return decide(a, b, opts, true);
+}
+
+Equivalence
+EquivalenceChecker::decide(const Circuit &a, const Circuit &b,
+                           const EquivalenceOptions &opts, bool direct)
+{
     if (!a.isUnitary() || !b.isUnitary()) {
         throw UserError(
             "equivalence checking requires measurement-free circuits");
@@ -179,35 +238,17 @@ EquivalenceChecker::check(const Circuit &a, const Circuit &b,
     span.arg("gates_a", static_cast<double>(a.size()));
     span.arg("gates_b", static_cast<double>(b.size()));
     // Hold a mutator session for the whole check so edges that span
-    // phases (start, ea while eb builds, the compare temporaries) can
-    // never be swept by a GC another worker triggers on a shared
-    // package; sessions nest, so the inner safe points still park.
+    // phases (the projector, ea while eb builds, the compare
+    // temporaries) can never be swept by a GC another worker triggers
+    // on a shared package; sessions nest, so the inner safe points
+    // still park.
     Package::Session session(pkg_);
     if (opts.quickRefuteSamples > 0) {
         obs::Span refute_span("qmdd.quick_refute");
         if (quickRefute(pkg_, a, b, opts, opts.quickRefuteSamples))
             return Equivalence::NotEquivalent;
     }
-    if (opts.useMiter && opts.ancillaWires.empty())
-        return checkMiter(a, b, opts);
-
-    Edge start = opts.ancillaWires.empty()
-                     ? pkg_.identityEdge()
-                     : pkg_.makeProjector(opts.ancillaWires);
-
-    Edge ea;
-    {
-        obs::Span build_a("qmdd.build_reference");
-        if (!buildOnto(a, start, opts.nodeBudget, &ea, {start}))
-            return Equivalence::Inconclusive;
-    }
-    Edge eb;
-    {
-        obs::Span build_b("qmdd.build_candidate");
-        if (!buildOnto(b, start, opts.nodeBudget, &eb, {start, ea}))
-            return Equivalence::Inconclusive;
-    }
-    return compareEdges(ea, eb, opts);
+    return direct ? compareBuilds(a, b, opts) : checkMiter(a, b, opts);
 }
 
 } // namespace qsyn::dd

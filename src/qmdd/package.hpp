@@ -116,8 +116,11 @@ struct PackageConfig
     size_t mulCacheSets = size_t{1} << 16;
     size_t addCacheSets = size_t{1} << 15;
     size_t ctCacheSets = size_t{1} << 12;
-    /** Live-node threshold that triggers automatic GC. */
-    size_t gcThreshold = size_t{1} << 20;
+    /** Live-node threshold that triggers automatic GC. Sized to the
+     *  miter's live set, not its garbage: each sweep doubles the
+     *  trigger while survivors exceed half of it and halves it back
+     *  toward this floor once they shrink. */
+    size_t gcThreshold = size_t{1} << 16;
 };
 
 /** Owner of all QMDD nodes plus the unique/compute tables. */

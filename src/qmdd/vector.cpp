@@ -100,19 +100,27 @@ VectorEngine::applyGate(const Gate &gate, const Edge &state)
 }
 
 Edge
-VectorEngine::applyCircuit(const Circuit &circuit, const Edge &state)
+VectorEngine::applyCircuit(const Circuit &circuit, const Edge &state,
+                           const std::vector<Edge> &live)
 {
+    // GC only through the session protocol: on a shared package a
+    // direct sweep could free nodes another worker is multiplying.
+    Package::Session session(pkg_);
     Edge e = state;
     for (const Gate &g : circuit) {
         if (g.kind() == GateKind::Barrier)
             continue;
         QSYN_ASSERT(g.isUnitary(),
                     "vector simulation requires unitary gates");
-        if (pkg_.activeNodes() > pkg_.gcThreshold()) {
-            pkg_.collectGarbage({e});
-            matvec_cache_.clear();
-        }
         e = applyGate(g, e);
+        if (pkg_.activeNodes() > pkg_.gcThreshold())
+            pkg_.requestGc();
+        if (pkg_.gcPending()) {
+            std::vector<Edge> roots = live;
+            roots.push_back(e);
+            pkg_.safePoint(roots);
+            matvec_cache_.clear(); // its keys may have been recycled
+        }
     }
     return e;
 }

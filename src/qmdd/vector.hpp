@@ -15,6 +15,8 @@
 
 #pragma once
 
+#include <vector>
+
 #include "qmdd/package.hpp"
 
 namespace qsyn::dd {
@@ -43,8 +45,14 @@ class VectorEngine
     /** Apply a gate (matrix DD semantics) to a state vector. */
     Edge applyGate(const Gate &gate, const Edge &state);
 
-    /** Apply a whole circuit (barriers skipped; measures rejected). */
-    Edge applyCircuit(const Circuit &circuit, const Edge &state);
+    /**
+     * Apply a whole circuit (barriers skipped; measures rejected).
+     * Holds a package Session and parks at a GC safe point once the
+     * live set crosses the trigger; `live` lists the other edges the
+     * caller still needs afterwards, which the sweep must keep.
+     */
+    Edge applyCircuit(const Circuit &circuit, const Edge &state,
+                      const std::vector<Edge> &live = {});
 
     /** Amplitude <index|state> for an n-qubit context. */
     Cplx amplitude(const Edge &state, std::uint64_t index,

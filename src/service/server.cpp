@@ -211,6 +211,12 @@ Server::requestStop()
 {
     // Async-signal-safe: one atomic store and one pipe write.
     stopRequested_.store(true, std::memory_order_release);
+    wake();
+}
+
+void
+Server::wake()
+{
     if (wakePipe_[1] >= 0) {
         char byte = 's';
         [[maybe_unused]] ssize_t ignored =
@@ -221,11 +227,13 @@ Server::requestStop()
 void
 Server::waitForStopRequest()
 {
+    // Every stopRequested_ store is followed by a wake byte, so the
+    // poll needs no timeout.
     while (!stopRequested_.load(std::memory_order_acquire)) {
         pollfd pfd{};
         pfd.fd = wakePipe_[0];
         pfd.events = POLLIN;
-        ::poll(&pfd, 1, 200);
+        ::poll(&pfd, 1, -1);
         if (pfd.revents & POLLIN) {
             char buf[16];
             [[maybe_unused]] ssize_t ignored =
@@ -243,6 +251,7 @@ Server::stop()
         QSYN_OBS_LOG(Info, "service") << "draining";
         draining_.store(true);
         stopRequested_.store(true);
+        wake();
         if (acceptThread_.joinable())
             acceptThread_.join();
         for (int fd : listenFds_)
@@ -283,17 +292,24 @@ Server::stop()
 void
 Server::acceptLoop()
 {
-    std::vector<pollfd> pfds(listenFds_.size());
-    for (size_t i = 0; i < listenFds_.size(); ++i) {
+    // The listeners plus the wake pipe's read end, which turns
+    // readable on requestStop() and stop(). The loop only watches it:
+    // waitForStopRequest() consumes the bytes, and a stop request
+    // ends accepting, so an unread byte cannot spin this loop.
+    std::vector<pollfd> pfds(listenFds_.size() + 1);
+    for (size_t i = 0; i < listenFds_.size(); ++i)
         pfds[i].fd = listenFds_[i];
-        pfds[i].events = POLLIN;
-    }
-    while (!draining_.load()) {
+    pfds.back().fd = wakePipe_[0];
+    for (pollfd &pfd : pfds)
+        pfd.events = POLLIN;
+    const size_t listeners = listenFds_.size();
+    while (!draining_.load() && !stopRequested_.load()) {
         int ready = ::poll(pfds.data(),
-                           static_cast<nfds_t>(pfds.size()), 200);
+                           static_cast<nfds_t>(pfds.size()), -1);
         if (ready <= 0)
             continue;
-        for (const pollfd &pfd : pfds) {
+        for (size_t i = 0; i < listeners; ++i) {
+            const pollfd &pfd = pfds[i];
             if (!(pfd.revents & POLLIN))
                 continue;
             int fd = ::accept4(pfd.fd, nullptr, nullptr, SOCK_CLOEXEC);
@@ -556,12 +572,10 @@ Server::handleCompile(const Json &request)
         options.verify = VerifyMode::Full;
     else if (verify == "off")
         options.verify = VerifyMode::Off;
-    else if (verify == "miter")
-        options.verify = VerifyMode::Miter;
     else
         throw ServiceError{ErrorCode::BadRequest,
                            "unknown verify mode '" + verify +
-                               "' (full|off|miter)"};
+                               "' (full|off)"};
     std::string placement =
         toLower(request.stringOr("placement", "identity"));
     if (placement == "identity")
@@ -665,7 +679,7 @@ Server::handleSimulate(const Json &request)
     deadline::check("service admission");
 
     // Simulation gets a private package: vector nodes are request-
-    // local and cheap, and VectorEngine does not hold a GC session.
+    // local and cheap.
     dd::Package pkg;
     dd::VectorEngine engine(pkg);
     Qubit n = circuit.numQubits();

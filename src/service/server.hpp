@@ -142,6 +142,9 @@ class Server
     struct Admission;
 
     void acceptLoop();
+    /** Write one byte to the wake pipe: unblocks the accept loop and
+     *  waitForStopRequest(). Async-signal-safe. */
+    void wake();
     void connectionLoop(Connection *conn);
     /** Handle one request payload; returns the response JSON text and
      *  sets `*fatal` when the connection must close after sending. */

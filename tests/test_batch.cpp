@@ -251,9 +251,10 @@ TEST(BatchCompiler, SummaryTimesAreCoherent)
 
 TEST(BatchCompiler, JobDeadlineCancelsHugeCircuitCooperatively)
 {
-    // A deliberately huge circuit: thousands of gates whose full QMDD
-    // verification cannot possibly finish in 10 ms. The per-job
-    // deadline is polled at the same per-gate safe point as GC, so
+    // A deliberately huge circuit: 4000 gates cannot be decomposed,
+    // routed, optimized and verified in 10 ms. The optimizer's
+    // per-round deadline poll is usually the one that fires; the
+    // verifier polls at its per-gate GC safe point too. Either way
     // the item must come back as a diagnosed timeout — not a hang,
     // not a crash, and without poisoning its neighbors.
     std::vector<Circuit> circuits;

@@ -116,6 +116,9 @@ TEST(CliParse, Errors)
                  UserError);
     EXPECT_THROW(parseCliArguments({"--mcx", "magic", "x.qasm"}),
                  UserError);
+    // The miter is the only check, so there is no flag to select it.
+    EXPECT_THROW(parseCliArguments({"--verify-miter", "x.qasm"}),
+                 UserError);
 }
 
 TEST(CliRun, HelpAndDeviceList)

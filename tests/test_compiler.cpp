@@ -164,20 +164,6 @@ TEST(Compiler, VerifyOffSkipsChecking)
     EXPECT_FALSE(res.verifyRan);
 }
 
-TEST(Compiler, MiterModeVerifies)
-{
-    Device dev = makeIbmqx2();
-    CompileOptions opts;
-    opts.verify = VerifyMode::Miter;
-    Compiler compiler(dev, opts);
-    Circuit c(3, "miter");
-    c.addH(0);
-    c.addCnot(0, 2);
-    c.addCnot(1, 0);
-    CompileResult res = compiler.compile(c);
-    EXPECT_TRUE(res.verified());
-}
-
 TEST(Compiler, MeasurementsPassThroughAndSkipVerification)
 {
     Device dev = makeIbmqx4();

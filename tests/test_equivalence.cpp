@@ -1,19 +1,32 @@
 /**
  * @file
  * Unit tests for the QMDD equivalence checker: direct canonical
- * comparison, global phase, ancilla projection, the alternating miter,
- * node budgets, and cross-validation against the simulator.
+ * comparison, global phase, ancilla projection, node budgets,
+ * cross-validation against the simulator, and the differential test
+ * that holds check()'s projected miter to checkDirect()'s verdicts.
  */
 
 #include <gtest/gtest.h>
 
-#include <numbers>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/deadline.hpp"
 #include "common/errors.hpp"
 #include "common/rng.hpp"
+#include "core/qsyn.hpp"
+#include "esop/cascade.hpp"
+#include "frontend/pla_parser.hpp"
 #include "ir/random_circuit.hpp"
 #include "qmdd/equivalence.hpp"
 #include "sim/statevector.hpp"
+#include "verdict_differential.hpp"
+
+#ifndef QSYN_DATA_DIR
+#error "QSYN_DATA_DIR must point at data/circuits"
+#endif
 
 using namespace qsyn;
 using dd::Equivalence;
@@ -127,28 +140,6 @@ TEST(Equivalence, AncillaProjection)
     EXPECT_EQ(checker.check(ref, impl), Equivalence::NotEquivalent);
 }
 
-TEST(Equivalence, MiterMode)
-{
-    dd::Package pkg;
-    EquivalenceChecker checker(pkg);
-    Rng rng(3);
-    RandomCircuitOptions ropts;
-    ropts.numQubits = 4;
-    ropts.numGates = 30;
-    Circuit a = randomCircuit(rng, ropts);
-    Circuit b = a; // plus a cancelling pair
-    b.addH(2);
-    b.addH(2);
-
-    EquivalenceOptions opts;
-    opts.useMiter = true;
-    EXPECT_TRUE(dd::isEquivalent(checker.check(a, b, opts)));
-
-    Circuit c = a;
-    c.addT(1);
-    EXPECT_FALSE(dd::isEquivalent(checker.check(a, c, opts)));
-}
-
 TEST(Equivalence, NodeBudgetYieldsInconclusive)
 {
     dd::Package pkg;
@@ -254,4 +245,212 @@ TEST(Equivalence, QuickRefuteRespectsAncillaPinning)
     opts.quickRefuteSamples = 6;
     EXPECT_TRUE(dd::isEquivalent(checker.check(ref, impl2, opts)));
     (void)impl;
+}
+
+// ---------------------------------------------------------------------
+// Differential verdicts: check() (the projected miter, with its
+// direct-build fallback) against checkDirect() (two full builds).
+// ---------------------------------------------------------------------
+
+namespace {
+
+using testutil::bothVerdicts;
+using testutil::differential;
+using testutil::expectSameVerdict;
+
+Circuit
+loadDataCircuit(const std::string &name)
+{
+    std::string path = std::string(QSYN_DATA_DIR) + "/" + name;
+    if (name.ends_with(".pla"))
+        return esop::synthesizePla(frontend::loadPlaFile(path));
+    return frontend::loadCircuitFile(path);
+}
+
+} // namespace
+
+TEST(EquivalenceDifferential, CompiledDataCircuitsAndTheirNearMisses)
+{
+    size_t refuted = 0;
+    for (const char *file : {"adder.pla", "clifford_t.qc",
+                             "mod5_cascade.real", "toffoli.qasm"}) {
+        Circuit input = loadDataCircuit(file);
+        for (Device dev : {makeIbmqx4(), makeIbmqx5()}) {
+            CompileOptions copts;
+            copts.verify = VerifyMode::Off; // the test is the check
+            CompileResult res = Compiler(dev, copts).compile(input);
+            refuted += differential(
+                res.referenceOnDevice(dev.numQubits()), res.optimized,
+                res.ancillas, std::string(file) + " on " + dev.name());
+        }
+    }
+    // The mutants are real near misses, not accidental identities.
+    EXPECT_GE(refuted, 40u);
+}
+
+TEST(EquivalenceDifferential, ReferenceOnAnAncillaWireFallsBackToDirect)
+{
+    // Both circuits flip wire 3 and leave it flipped, so they agree on
+    // the ancilla=|0> subspace. The reference does not commute with
+    // the projector, so a miter seeded with P would refute the pair;
+    // check() must take the direct build instead.
+    Circuit ref(4);
+    ref.addX(3);
+    ref.addCnot(3, 2);
+    Circuit impl(4);
+    impl.addX(2);
+    impl.addX(3);
+    EquivalenceOptions opts;
+    opts.ancillaWires = {3};
+    auto [miter, direct] = bothVerdicts(ref, impl, opts);
+    EXPECT_EQ(direct, Equivalence::Equivalent);
+    EXPECT_EQ(miter, direct);
+
+    Circuit wrong(4);
+    wrong.addX(1);
+    wrong.addX(3);
+    EXPECT_FALSE(expectSameVerdict(ref, wrong, opts, "wrong target"));
+}
+
+// ---------------------------------------------------------------------
+// GC and cancellation inside a check. A low GC trigger makes the
+// sweeps run mid-check on small inputs.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A compiled data circuit with its on-device reference. */
+struct CompiledPair
+{
+    Circuit ref;
+    Circuit out;
+    std::vector<Qubit> ancillas;
+};
+
+CompiledPair
+compiledPair(const std::string &file, const Device &dev)
+{
+    CompileOptions copts;
+    copts.verify = VerifyMode::Off; // the test is the check
+    CompileResult res =
+        Compiler(dev, copts).compile(loadDataCircuit(file));
+    return {res.referenceOnDevice(dev.numQubits()), res.optimized,
+            res.ancillas};
+}
+
+dd::PackageConfig
+lowGcTrigger()
+{
+    dd::PackageConfig cfg;
+    cfg.gcThreshold = 1024;
+    return cfg;
+}
+
+/** check() with sampled refutation first, as qverify runs it. */
+Equivalence
+sampledCheck(dd::Package &pkg, const CompiledPair &p)
+{
+    EquivalenceOptions opts;
+    opts.ancillaWires = p.ancillas;
+    opts.quickRefuteSamples = 4;
+    return EquivalenceChecker(pkg).check(p.ref, p.out, opts);
+}
+
+} // namespace
+
+TEST(EquivalenceGc, QuickRefuteKeepsItsStatesThroughGc)
+{
+    // One package for every pair, as qverify runs them: each check's
+    // sampled simulations start on the previous check's garbage and
+    // cross the trigger. The sampled inputs and the first circuit's
+    // output must survive those sweeps, or a pair is refuted.
+    dd::Package pkg(lowGcTrigger());
+    for (const char *file : {"adder.pla", "clifford_t.qc",
+                             "mod5_cascade.real", "toffoli.qasm"}) {
+        for (Device dev : {makeIbmqx4(), makeIbmqx5()}) {
+            Equivalence v = sampledCheck(pkg, compiledPair(file, dev));
+            EXPECT_TRUE(dd::isEquivalent(v))
+                << file << " on " << dev.name() << ": "
+                << dd::equivalenceName(v);
+        }
+    }
+}
+
+TEST(EquivalenceGc, QuickRefuteOnASharedPackageAcrossThreads)
+{
+    // Two workers verify on one package, so each sweep one of them
+    // requests must wait for the other at a safe point and keep both
+    // workers' states.
+    const CompiledPair pairs[] = {compiledPair("adder.pla", makeIbmqx4()),
+                                  compiledPair("adder.pla", makeIbmqx5())};
+    dd::Package pkg(lowGcTrigger());
+    std::vector<Equivalence> verdicts[2];
+    auto worker = [&](size_t w) {
+        try {
+            for (int round = 0; round < 3; ++round)
+                verdicts[w].push_back(sampledCheck(pkg, pairs[w]));
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "worker " << w << ": " << e.what();
+        }
+    };
+    std::thread first(worker, 0);
+    std::thread second(worker, 1);
+    first.join();
+    second.join();
+    for (const auto &per_worker : verdicts) {
+        EXPECT_EQ(per_worker.size(), 3u);
+        for (Equivalence v : per_worker)
+            EXPECT_TRUE(dd::isEquivalent(v)) << dd::equivalenceName(v);
+    }
+    EXPECT_GT(pkg.stats().gcRuns, 0u);
+}
+
+TEST(EquivalenceDeadline, ExpiredDeadlineStopsBothChecksAtTheirGatePolls)
+{
+    Rng rng(61);
+    RandomCircuitOptions ropts;
+    ropts.numQubits = 8;
+    ropts.numGates = 3000;
+    Circuit big = randomCircuit(rng, ropts);
+
+    dd::Package pkg(lowGcTrigger());
+    EquivalenceChecker checker(pkg);
+    auto phaseOfDeadline = [&](bool direct) -> std::string {
+        deadline::Scope expired(deadline::Clock::now() -
+                                std::chrono::seconds(1));
+        try {
+            if (direct)
+                checker.checkDirect(big, big);
+            else
+                checker.check(big, big);
+        } catch (const DeadlineError &e) {
+            return e.what();
+        }
+        return "no deadline error";
+    };
+    // Each names the verifier's own per-gate poll, not an earlier one.
+    EXPECT_NE(phaseOfDeadline(false).find("qmdd miter check"),
+              std::string::npos);
+    EXPECT_NE(phaseOfDeadline(true).find("qmdd equivalence check"),
+              std::string::npos);
+
+    // The package still verifies afterwards, on this thread and on
+    // another whose check crosses the GC trigger: a session the throw
+    // had leaked would hold that worker's safe point forever.
+    Circuit small(2);
+    small.addH(0);
+    small.addCnot(0, 1);
+    EXPECT_EQ(checker.check(small, small), Equivalence::Equivalent);
+    CompiledPair p = compiledPair("adder.pla", makeIbmqx5());
+    size_t runs_before = pkg.stats().gcRuns;
+    Equivalence other = Equivalence::Inconclusive;
+    std::thread([&] {
+        try {
+            other = sampledCheck(pkg, p);
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << e.what();
+        }
+    }).join();
+    EXPECT_TRUE(dd::isEquivalent(other)) << dd::equivalenceName(other);
+    EXPECT_GT(pkg.stats().gcRuns, runs_before);
 }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -74,8 +75,9 @@ const char *kSmallQasm =
     "t q[2];\n"
     "cx q[2],q[3];\n";
 
-/** A deliberately huge circuit: wide T/CX braid that keeps the
- *  verifier's per-gate loop busy long enough for deadlines to fire. */
+/** A long T/CX braid on 5 qubits (3 gates per layer). The compile
+ *  takes tens to hundreds of milliseconds, so tests that need it to
+ *  be in flight wait for that with waitForInFlight, not a sleep. */
 std::string
 hugeQasm(size_t layers)
 {
@@ -192,6 +194,26 @@ class Daemon
 };
 
 std::atomic<int> Daemon::counter_{0};
+
+/** Poll the daemon's `health` op until it reports `in_flight` ==
+ *  `want`; false after 10 s or when the daemon stops answering. */
+bool
+waitForInFlight(const std::string &socket, double want)
+{
+    try {
+        service::Client client = service::Client::connectUnix(socket);
+        service::Json health = service::Json::makeObject();
+        health.object["op"] = service::Json::makeString("health");
+        auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+        while (std::chrono::steady_clock::now() < give_up) {
+            if (client.call(health).numberOr("in_flight", -1.0) == want)
+                return true;
+        }
+    } catch (const Error &) {
+    }
+    return false;
+}
 
 int
 runShell(const std::string &cmd)
@@ -390,7 +412,14 @@ TEST(ServiceE2E, LimitViolationsAreStructuredAndNonFatal)
     EXPECT_FALSE(r4r.boolOr("ok", true));
     EXPECT_EQ(errorCodeOf(r4r), "bad_request");
 
-    // The daemon answered four poisoned requests and is still fine.
+    // Unknown verify mode: `full` and `off` are the only ones.
+    service::Json r5 = compileRequest(kSmallQasm);
+    r5.object["verify"] = service::Json::makeString("miter");
+    service::Json r5r = client.call(r5);
+    EXPECT_FALSE(r5r.boolOr("ok", true));
+    EXPECT_EQ(errorCodeOf(r5r), "bad_request");
+
+    // The daemon answered five poisoned requests and is still fine.
     service::Json good = client.call(compileRequest(kSmallQasm));
     EXPECT_TRUE(good.boolOr("ok", false)) << errorCodeOf(good);
     EXPECT_EQ(daemon.terminate(), 0);
@@ -398,11 +427,12 @@ TEST(ServiceE2E, LimitViolationsAreStructuredAndNonFatal)
 
 TEST(ServiceE2E, DeadlineExpiresStructurally)
 {
-    // 2400 gates with full verification cannot finish in 20 ms; the
-    // cooperative poll must unwind it cleanly. The budget rides on the
-    // request (deadline_ms) rather than the server so the follow-up
-    // small compile is unconstrained — under slow sanitizer builds
-    // even it would blow a 20 ms server-wide deadline.
+    // 2400 gates cannot be decomposed, routed, optimized and verified
+    // in 20 ms; the optimizer's deadline poll usually fires first, and
+    // the cooperative poll must unwind it cleanly. The budget rides on
+    // the request (deadline_ms) rather than the server so the
+    // follow-up small compile is unconstrained — under slow sanitizer
+    // builds even it would blow a 20 ms server-wide deadline.
     Daemon daemon({"--max-gates", "1000000"});
     daemon.waitReady();
     service::Client client =
@@ -425,8 +455,9 @@ TEST(ServiceE2E, OverloadedWhenQueueFull)
     daemon.waitReady();
 
     // Occupy the single compile slot with a slow compile (bounded by
-    // its own deadline so the test can't hang), then probe: the probe
-    // must get an immediate structured `overloaded`, not a hang.
+    // its own deadline so the test can't hang), wait until health
+    // shows it in flight, then probe: the probe must get an immediate
+    // structured `overloaded`, not a hang.
     std::thread slow([&] {
         try {
             service::Client c =
@@ -439,9 +470,10 @@ TEST(ServiceE2E, OverloadedWhenQueueFull)
         }
     });
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    bool inFlight = waitForInFlight(daemon.socket(), 1.0);
     bool sawOverloaded = false;
-    for (int attempt = 0; attempt < 5 && !sawOverloaded; ++attempt) {
+    for (int attempt = 0; inFlight && attempt < 5 && !sawOverloaded;
+         ++attempt) {
         service::Client probe =
             service::Client::connectUnix(daemon.socket());
         service::Json resp = probe.call(compileRequest(kSmallQasm));
@@ -449,8 +481,9 @@ TEST(ServiceE2E, OverloadedWhenQueueFull)
             errorCodeOf(resp) == "overloaded")
             sawOverloaded = true;
     }
-    EXPECT_TRUE(sawOverloaded);
     slow.join();
+    EXPECT_TRUE(inFlight);
+    EXPECT_TRUE(sawOverloaded);
     EXPECT_EQ(daemon.terminate(), 0);
 }
 
@@ -459,9 +492,12 @@ TEST(ServiceE2E, SigtermDrainsInFlightRequest)
     Daemon daemon;
     daemon.waitReady();
 
-    // Launch a compile slow enough to still be running when SIGTERM
-    // lands; its response must be delivered anyway.
+    // Launch a compile, send SIGTERM while health shows it in flight;
+    // its response must be delivered anyway, and only after SIGTERM
+    // (otherwise nothing was drained and the test proves nothing).
+    std::atomic<bool> sigtermSent{false};
     std::atomic<bool> gotResponse{false};
+    std::atomic<bool> answeredBeforeSigterm{false};
     std::atomic<bool> responseOk{false};
     std::thread inflight([&] {
         try {
@@ -469,18 +505,22 @@ TEST(ServiceE2E, SigtermDrainsInFlightRequest)
                 service::Client::connectUnix(daemon.socket());
             service::Json req = compileRequest(hugeQasm(250));
             service::Json resp = c.call(req);
+            answeredBeforeSigterm = !sigtermSent.load();
             gotResponse = true;
             responseOk = resp.boolOr("ok", false);
         } catch (const Error &) {
         }
     });
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    bool inFlight = waitForInFlight(daemon.socket(), 1.0);
+    sigtermSent = true;
     int exitCode = daemon.terminate(); // SIGTERM + waitpid
     inflight.join();
 
+    ASSERT_TRUE(inFlight);
     EXPECT_EQ(exitCode, 0);
     EXPECT_TRUE(gotResponse.load());
+    EXPECT_FALSE(answeredBeforeSigterm.load());
     EXPECT_TRUE(responseOk.load());
     // The drain unlinked the socket.
     EXPECT_FALSE(fs::exists(daemon.socket()));

@@ -7,8 +7,9 @@
  * usage: qverify [options] <a.{qasm,qc,real}> <b.{qasm,qc,real}>...
  *
  * More than two files are checked as consecutive pairs (a b c d =
- * a-vs-b and c-vs-d), optionally in parallel with --jobs; each pair
- * gets its own QMDD package and verdicts print in input order.
+ * a-vs-b and c-vs-d), optionally in parallel with --jobs; the pairs
+ * share one QMDD package unless --no-share-manager gives each its
+ * own, and verdicts print in input order.
  *
  * Exit code 0: all equivalent; 1: any not equivalent; 2: any
  * inconclusive, or a usage/internal error.
@@ -42,9 +43,11 @@ printHelp()
     std::cout
         << "qverify - QMDD formal equivalence checking\n\n"
            "usage: qverify [options] <a> <b> [<c> <d> ...]\n\n"
-           "More than two files are checked as consecutive pairs,\n"
-           "each with its own QMDD package; verdicts print in input\n"
-           "order.\n\n"
+           "More than two files are checked as consecutive pairs;\n"
+           "verdicts print in input order. Each pair is decided by a\n"
+           "projected alternating miter: U_b . P . U_a^dagger is\n"
+           "accumulated gate by gate and compared with P, the\n"
+           "projector onto |0> of the --ancilla wires.\n\n"
            "options:\n"
            "  -j, --jobs <n>     check pairs on n worker threads\n"
            "                     (0 = one per core)\n"
@@ -53,9 +56,10 @@ printHelp()
            "  --no-share-manager private QMDD package per pair\n"
            "  --strict           require exact equality (no global "
            "phase slack)\n"
-           "  --miter            alternating-miter accumulation\n"
            "  --ancilla <list>   comma-separated wires required |0> at\n"
-           "                     input and output (clean ancillas)\n"
+           "                     input and output (clean ancillas);\n"
+           "                     if <a> acts on one, the pair is\n"
+           "                     checked by two full builds instead\n"
            "  --budget <n>       node budget (0 = unlimited)\n"
            "  --no-quick-refute  skip the random-stimuli pre-check\n"
            "  --cache-dir <d>    memoize verdicts in a persistent\n"
@@ -148,8 +152,6 @@ main(int argc, char **argv)
                 return 0;
             } else if (arg == "--strict") {
                 options.upToGlobalPhase = false;
-            } else if (arg == "--miter") {
-                options.useMiter = true;
             } else if (arg == "--ancilla") {
                 options.ancillaWires = parseAncillaList(next());
             } else if (arg == "--budget") {
