@@ -82,22 +82,23 @@ Gate::inverse() const
 }
 
 bool
+Gate::sameTargets(const Gate &other) const
+{
+    if (kind_ != GateKind::Swap)
+        return targets_ == other.targets_;
+    // Swap targets are an unordered pair.
+    return targets_ == other.targets_ ||
+           (targets_.size() == 2 && other.targets_.size() == 2 &&
+            targets_[0] == other.targets_[1] &&
+            targets_[1] == other.targets_[0]);
+}
+
+bool
 Gate::operator==(const Gate &other) const
 {
-    if (kind_ != other.kind_ || controls_ != other.controls_)
+    if (kind_ != other.kind_ || controls_ != other.controls_ ||
+        !sameTargets(other))
         return false;
-    if (kind_ == GateKind::Swap) {
-        // Swap targets are an unordered pair.
-        bool same = targets_ == other.targets_;
-        bool flipped = targets_.size() == 2 &&
-                       other.targets_.size() == 2 &&
-                       targets_[0] == other.targets_[1] &&
-                       targets_[1] == other.targets_[0];
-        if (!same && !flipped)
-            return false;
-    } else if (targets_ != other.targets_) {
-        return false;
-    }
     if (isParameterized(kind_) && !approxEqual(param_, other.param_))
         return false;
     if (kind_ == GateKind::Measure && cbit_ != other.cbit_)
@@ -108,9 +109,18 @@ Gate::operator==(const Gate &other) const
 bool
 Gate::isInverseOf(const Gate &other) const
 {
+    // Compares in place against other.inverse(): parameterized kinds
+    // keep their kind and negate the angle, the rest map through
+    // inverseKind.
     if (!isUnitary() || !other.isUnitary())
         return false;
-    return *this == other.inverse();
+    GateKind inverse_kind = isParameterized(other.kind_)
+                                ? other.kind_
+                                : inverseKind(other.kind_);
+    if (kind_ != inverse_kind || controls_ != other.controls_ ||
+        !sameTargets(other))
+        return false;
+    return !isParameterized(kind_) || approxEqual(param_, -other.param_);
 }
 
 bool
@@ -118,17 +128,23 @@ Gate::commutesWith(const Gate &other) const
 {
     if (!isUnitary() || !other.isUnitary())
         return false;
-    for (Qubit w : qubits()) {
+    auto compatible = [&](Qubit w, WireAction a) {
         if (!other.usesQubit(w))
-            continue;
-        WireAction a = classifyWire(*this, w);
+            return true;
         WireAction b = classifyWire(other, w);
         bool both_z = (a == WireAction::Control ||
                        a == WireAction::DiagTarget) &&
                       (b == WireAction::Control ||
                        b == WireAction::DiagTarget);
-        bool both_x = a == WireAction::XTarget && b == WireAction::XTarget;
-        if (!both_z && !both_x)
+        return both_z ||
+               (a == WireAction::XTarget && b == WireAction::XTarget);
+    };
+    for (Qubit c : controls_) {
+        if (!compatible(c, WireAction::Control))
+            return false;
+    }
+    for (Qubit t : targets_) {
+        if (!compatible(t, classifyWire(*this, t)))
             return false;
     }
     return true;

@@ -132,7 +132,11 @@ class Gate
     bool operator==(const Gate &other) const;
     bool operator!=(const Gate &other) const { return !(*this == other); }
 
-    /** True when `other` is this gate's exact inverse. */
+    /**
+     * True when `other` is this gate's exact inverse, i.e.
+     * `*this == other.inverse()` for unitary gates, decided without
+     * building the inverse.
+     */
     bool isInverseOf(const Gate &other) const;
 
     /**
@@ -155,6 +159,9 @@ class Gate
     Mat2 baseMatrix() const { return qsyn::baseMatrix(kind_, param_); }
 
   private:
+    /** Same target list; Swap targets compare as an unordered pair. */
+    bool sameTargets(const Gate &other) const;
+
     GateKind kind_;
     std::vector<Qubit> controls_;
     std::vector<Qubit> targets_;

@@ -45,8 +45,10 @@ approxEqual(const Mat2 &a, const Mat2 &b, double eps)
     return true;
 }
 
+namespace {
+
 Mat2
-baseMatrix(GateKind kind, double param)
+computeBaseMatrix(GateKind kind, double param)
 {
     using std::numbers::pi;
     const Cplx i01(0.0, 1.0);
@@ -88,11 +90,47 @@ baseMatrix(GateKind kind, double param)
     }
 }
 
-DenseMatrix::DenseMatrix(int num_qubits)
-    : num_qubits_(num_qubits), data_(dim() * dim(), Cplx(0, 0))
+/** Kinds whose base matrix ignores the angle. */
+bool
+hasFixedMatrix(GateKind kind)
 {
-    QSYN_ASSERT(num_qubits >= 0 && num_qubits <= 12,
+    return isUnitary(kind) && kind != GateKind::Swap &&
+           !isParameterized(kind);
+}
+
+} // namespace
+
+Mat2
+baseMatrix(GateKind kind, double param)
+{
+    // The fixed kinds come from a table built once by the same
+    // expressions, so every entry is bit-identical to computing it.
+    static const std::array<Mat2, kNumGateKinds> fixed = [] {
+        std::array<Mat2, kNumGateKinds> table{};
+        for (int k = 0; k < kNumGateKinds; ++k) {
+            auto fixed_kind = static_cast<GateKind>(k);
+            if (hasFixedMatrix(fixed_kind))
+                table[k] = computeBaseMatrix(fixed_kind, 0.0);
+        }
+        return table;
+    }();
+    if (!hasFixedMatrix(kind))
+        return computeBaseMatrix(kind, param);
+    return fixed[static_cast<int>(kind)];
+}
+
+DenseMatrix::DenseMatrix(int num_qubits) : num_qubits_(0)
+{
+    reset(num_qubits);
+}
+
+void
+DenseMatrix::reset(int num_qubits)
+{
+    QSYN_ASSERT(num_qubits >= 0 && num_qubits <= kMaxQubits,
                 "DenseMatrix limited to 12 qubits");
+    num_qubits_ = num_qubits;
+    data_.assign(dim() * dim(), Cplx(0, 0));
     for (size_t r = 0; r < dim(); ++r)
         at(r, r) = Cplx(1, 0);
 }

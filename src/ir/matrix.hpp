@@ -47,8 +47,14 @@ Mat2 baseMatrix(GateKind kind, double param = 0.0);
 class DenseMatrix
 {
   public:
+    /** Widest matrix accepted (a 4096 x 4096 product). */
+    static constexpr int kMaxQubits = 12;
+
     /** Identity on `num_qubits` qubits. */
     explicit DenseMatrix(int num_qubits);
+
+    /** Become the identity on `num_qubits` qubits, reusing storage. */
+    void reset(int num_qubits);
 
     int numQubits() const { return num_qubits_; }
     size_t dim() const { return size_t{1} << num_qubits_; }

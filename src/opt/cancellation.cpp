@@ -18,7 +18,11 @@ constexpr size_t kScanHorizon = 256;
 bool
 sharesWire(const Gate &a, const Gate &b)
 {
-    for (Qubit q : a.qubits()) {
+    for (Qubit q : a.controls()) {
+        if (b.usesQubit(q))
+            return true;
+    }
+    for (Qubit q : a.targets()) {
         if (b.usesQubit(q))
             return true;
     }

@@ -16,38 +16,50 @@ namespace qsyn::opt {
 
 namespace {
 
-/** Per-gate wire adjacency: previous/next gate index on each wire. */
-struct WireLinks
+/**
+ * Per-gate wire adjacency: previous/next gate index on each wire, in
+ * two flat arrays. Gate i's k-th wire (order of Gate::qubits()) sits
+ * at slot offset_[i] + k.
+ */
+class WireLinks
 {
+  public:
     static constexpr size_t kNone = static_cast<size_t>(-1);
 
     explicit WireLinks(const Circuit &circuit)
-        : prev(circuit.size()), next(circuit.size())
+        : offset_(circuit.size() + 1, 0)
     {
-        std::vector<size_t> last(circuit.numQubits(), kNone);
+        for (size_t i = 0; i < circuit.size(); ++i)
+            offset_[i + 1] = offset_[i] + circuit[i].numQubits();
+        prev_.assign(offset_.back(), kNone);
+        next_.assign(offset_.back(), kNone);
+        // The latest gate on each wire and that gate's slot for it.
+        std::vector<size_t> last_gate(circuit.numQubits(), kNone);
+        std::vector<size_t> last_slot(circuit.numQubits(), kNone);
         for (size_t i = 0; i < circuit.size(); ++i) {
-            const auto wires = circuit[i].qubits();
-            prev[i].assign(wires.size(), kNone);
-            next[i].assign(wires.size(), kNone);
-            for (size_t w = 0; w < wires.size(); ++w) {
-                size_t p = last[wires[w]];
-                prev[i][w] = p;
-                if (p != kNone) {
-                    const auto pw = circuit[p].qubits();
-                    for (size_t k = 0; k < pw.size(); ++k) {
-                        if (pw[k] == wires[w])
-                            next[p][k] = i;
-                    }
-                }
-                last[wires[w]] = i;
-            }
+            size_t slot = offset_[i];
+            auto link = [&](Qubit w) {
+                prev_[slot] = last_gate[w];
+                if (last_slot[w] != kNone)
+                    next_[last_slot[w]] = i;
+                last_gate[w] = i;
+                last_slot[w] = slot++;
+            };
+            for (Qubit w : circuit[i].controls())
+                link(w);
+            for (Qubit w : circuit[i].targets())
+                link(w);
         }
     }
 
-    /** prev[i][k]: index of the previous gate on the k-th wire of
-     *  gate i (order of Gate::qubits()). */
-    std::vector<std::vector<size_t>> prev;
-    std::vector<std::vector<size_t>> next;
+    /** Index of the previous / next gate on the k-th wire of gate i. */
+    size_t prev(size_t i, size_t k) const { return prev_[offset_[i] + k]; }
+    size_t next(size_t i, size_t k) const { return next_[offset_[i] + k]; }
+
+  private:
+    std::vector<size_t> offset_;
+    std::vector<size_t> prev_;
+    std::vector<size_t> next_;
 };
 
 bool
@@ -94,8 +106,8 @@ applyHadamardRules(Circuit &circuit, const Device *device)
             if ((g.kind() == GateKind::X || g.kind() == GateKind::Z) &&
                 g.numControls() == 0) {
                 Qubit q = g.target();
-                size_t p = links.prev[i][0];
-                size_t n = links.next[i][0];
+                size_t p = links.prev(i, 0);
+                size_t n = links.next(i, 0);
                 if (p != kNone && n != kNone && all_free({p, n}) &&
                     isPlainH(circuit[p], q) && isPlainH(circuit[n], q)) {
                     GateKind flipped = g.kind() == GateKind::X
@@ -113,8 +125,8 @@ applyHadamardRules(Circuit &circuit, const Device *device)
             if (g.isCnot()) {
                 Qubit b = g.controls()[0]; // wire slot 0
                 Qubit a = g.target();      // wire slot 1
-                size_t pb = links.prev[i][0], nb = links.next[i][0];
-                size_t pa = links.prev[i][1], na = links.next[i][1];
+                size_t pb = links.prev(i, 0), nb = links.next(i, 0);
+                size_t pa = links.prev(i, 1), na = links.next(i, 1);
                 if (pa == kNone || na == kNone || pb == kNone ||
                     nb == kNone)
                     continue;

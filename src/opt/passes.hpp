@@ -13,6 +13,9 @@
 
 #pragma once
 
+#include <string>
+#include <unordered_map>
+
 #include "device/device.hpp"
 #include "ir/circuit.hpp"
 
@@ -46,14 +49,34 @@ bool mergeRotations(Circuit &circuit);
 bool applyHadamardRules(Circuit &circuit, const Device *device);
 
 /**
+ * Identity-prefix lengths of the windows removeIdentityWindows has
+ * examined, keyed by canonical window content: the width, then per
+ * member its kind, its control and target wires relabelled by first
+ * appearance in the window, and its angle's exact bits. Equal keys run
+ * the identical matrix product, so a hit gives the verdict (and the
+ * output) a fresh product would. One optimizeCircuit call owns one
+ * memo across its windows and rounds; it is not thread-safe, and
+ * concurrent compiles each use their own.
+ */
+struct IdentityWindowMemo
+{
+    std::unordered_map<std::string, size_t> prefix;
+    /** Windows looked up, and how many the memo answered. */
+    size_t windows = 0;
+    size_t hits = 0;
+};
+
+/**
  * Remove gate partitions that multiply to the identity: slides a
  * window over runs of gates confined to at most `max_qubits` wires
  * (gates on disjoint wires may interleave) and deletes any prefix
- * whose product is exactly the identity. Returns true when the circuit
- * changed.
+ * whose product is exactly the identity. Window verdicts are looked
+ * up in and added to `memo`; without one the call uses its own.
+ * Returns true when the circuit changed.
  */
 bool removeIdentityWindows(Circuit &circuit, int max_qubits = 3,
-                           size_t max_gates = 16);
+                           size_t max_gates = 16,
+                           IdentityWindowMemo *memo = nullptr);
 
 /**
  * Phase-polynomial merging (extension beyond the paper's optimizer):

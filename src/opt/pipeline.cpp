@@ -31,6 +31,10 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
     PassReport window{"window_identity", 0, 0, 0, 0.0};
     PassReport phase{"phase_polynomial", 0, 0, 0, 0.0};
 
+    // Window verdicts carry over between rounds: most windows of a
+    // round were already examined, unchanged, in the round before.
+    IdentityWindowMemo window_memo;
+
     const bool capture = options.capturePassCircuits && report != nullptr;
     int current_round = 0;
     auto run_pass = [&](PassReport &pr, const char *span_name,
@@ -99,7 +103,8 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
             changed |= run_pass(window, "opt.window_identity", [&] {
                 return removeIdentityWindows(current,
                                              options.windowQubits,
-                                             options.windowGates);
+                                             options.windowGates,
+                                             &window_memo);
             });
         }
         if (options.enablePhasePolynomial) {
@@ -120,6 +125,14 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
             break;
         }
         cost = new_cost;
+    }
+
+    if (sink != nullptr && options.enableWindowIdentity) {
+        obs::MetricsRegistry &m = sink->metrics();
+        m.addCounter("opt.window_identity.windows",
+                     static_cast<double>(window_memo.windows));
+        m.addCounter("opt.window_identity.memo_hits",
+                     static_cast<double>(window_memo.hits));
     }
 
     if (report) {

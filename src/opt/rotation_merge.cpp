@@ -26,7 +26,11 @@ constexpr size_t kScanHorizon = 256;
 bool
 sharesWire(const Gate &a, const Gate &b)
 {
-    for (Qubit q : a.qubits()) {
+    for (Qubit q : a.controls()) {
+        if (b.usesQubit(q))
+            return true;
+    }
+    for (Qubit q : a.targets()) {
         if (b.usesQubit(q))
             return true;
     }
@@ -50,13 +54,12 @@ mergeRotations(Circuit &circuit)
 
     while (changed) {
         changed = false;
-        std::vector<bool> removed(circuit.size(), false);
         bool applied = false;
 
         for (size_t i = 0; i < circuit.size() && !applied; ++i) {
-            if (removed[i] || !circuit[i].isUnitary())
+            if (!circuit[i].isUnitary())
                 continue;
-            const Gate g = circuit[i];
+            const Gate &g = circuit[i];
             auto g_phase = phaseFamilyAngle(g);
             bool g_axis = isAxisRotation(g.kind());
             if (!g_phase && !g_axis)
@@ -64,9 +67,7 @@ mergeRotations(Circuit &circuit)
 
             size_t limit = std::min(circuit.size(), i + 1 + kScanHorizon);
             for (size_t j = i + 1; j < limit; ++j) {
-                if (removed[j])
-                    continue;
-                const Gate h = circuit[j];
+                const Gate &h = circuit[j];
                 if (!sharesWire(g, h))
                     continue;
 
@@ -79,7 +80,7 @@ mergeRotations(Circuit &circuit)
                             canonicalPhaseGate(g, *g_phase + *h_phase);
                         circuit.eraseMany({i, j});
                         if (merged)
-                            circuit.insert(i, *merged);
+                            circuit.insert(i, std::move(*merged));
                         applied = true;
                         changed = true;
                         any = true;
@@ -87,14 +88,17 @@ mergeRotations(Circuit &circuit)
                     }
                 }
                 if (same_wires && g_axis && h.kind() == g.kind()) {
+                    // Built before the erase: g and h point into the
+                    // circuit.
                     double theta =
                         wrapAngle(g.param() + h.param(), 4 * pi);
+                    std::optional<Gate> merged;
+                    if (theta > kAngleEps && theta < 4 * pi - kAngleEps)
+                        merged.emplace(g.kind(), g.controls(),
+                                       g.targets(), theta);
                     circuit.eraseMany({i, j});
-                    if (theta > kAngleEps && theta < 4 * pi - kAngleEps) {
-                        circuit.insert(
-                            i, Gate(g.kind(), g.controls(), g.targets(),
-                                    theta));
-                    }
+                    if (merged)
+                        circuit.insert(i, std::move(*merged));
                     applied = true;
                     changed = true;
                     any = true;

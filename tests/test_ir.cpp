@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "ir/circuit.hpp"
@@ -88,6 +91,135 @@ TEST(GateTest, Commutation)
     EXPECT_FALSE(Gate::h(0).commutesWith(Gate::x(0)));
     // Mixed X/Z type on different shared wires must not commute.
     EXPECT_FALSE(Gate::cnot(0, 1).commutesWith(Gate::cnot(1, 0)));
+}
+
+namespace {
+
+/** How a gate acts on one of its wires, as the commutation rule sees
+ *  it. */
+enum class RefAction
+{
+    Control,
+    DiagTarget,
+    XTarget,
+    Other
+};
+
+RefAction
+refClassify(const Gate &g, Qubit w)
+{
+    for (Qubit c : g.controls()) {
+        if (c == w)
+            return RefAction::Control;
+    }
+    if (!g.isUnitary())
+        return RefAction::Other;
+    if (isDiagonal(g.kind()))
+        return RefAction::DiagTarget;
+    if (g.kind() == GateKind::X || g.kind() == GateKind::Rx)
+        return RefAction::XTarget;
+    return RefAction::Other;
+}
+
+/** Reference commutation rule: walks a qubits() copy of `a`, one
+ *  shared wire at a time. */
+bool
+referenceCommutes(const Gate &a, const Gate &b)
+{
+    if (!a.isUnitary() || !b.isUnitary())
+        return false;
+    for (Qubit w : a.qubits()) {
+        if (!b.usesQubit(w))
+            continue;
+        RefAction x = refClassify(a, w), y = refClassify(b, w);
+        bool z_like = (x == RefAction::Control ||
+                       x == RefAction::DiagTarget) &&
+                      (y == RefAction::Control ||
+                       y == RefAction::DiagTarget);
+        bool x_like = x == RefAction::XTarget && y == RefAction::XTarget;
+        if (!z_like && !x_like)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Every unitary kind on 4 wires: each target (both orders for Swap),
+ * 0-2 controls from the remaining wires, and for angle kinds the
+ * angles t, -t, -t + 5e-11 (inside kEps of -t) and -t + 1e-9
+ * (outside it).
+ */
+std::vector<Gate>
+predicateGates()
+{
+    constexpr Qubit kWires = 4;
+    const double t = 0.7;
+    const double angles[] = {t, -t, -t + 5e-11, -t + 1e-9};
+    std::vector<Gate> gates;
+    auto add_controlled = [&](GateKind kind,
+                              const std::vector<Qubit> &targets) {
+        std::vector<Qubit> free;
+        for (Qubit q = 0; q < kWires; ++q) {
+            if (std::find(targets.begin(), targets.end(), q) ==
+                targets.end())
+                free.push_back(q);
+        }
+        std::vector<std::vector<Qubit>> control_sets = {{}};
+        for (size_t i = 0; i < free.size(); ++i) {
+            control_sets.push_back({free[i]});
+            for (size_t j = i + 1; j < free.size(); ++j)
+                control_sets.push_back({free[i], free[j]});
+        }
+        for (const auto &controls : control_sets) {
+            if (!isParameterized(kind)) {
+                gates.emplace_back(kind, controls, targets);
+                continue;
+            }
+            for (double a : angles)
+                gates.emplace_back(kind, controls, targets, a);
+        }
+    };
+    for (int k = 0; k < kNumGateKinds; ++k) {
+        auto kind = static_cast<GateKind>(k);
+        if (!isUnitary(kind))
+            continue;
+        for (Qubit a = 0; a < kWires; ++a) {
+            if (baseArity(kind) == 1) {
+                add_controlled(kind, {a});
+                continue;
+            }
+            for (Qubit b = 0; b < kWires; ++b) {
+                if (b != a)
+                    add_controlled(kind, {a, b});
+            }
+        }
+    }
+    return gates;
+}
+
+} // namespace
+
+TEST(GateTest, PredicatesMatchTheirDefinitions)
+{
+    const std::vector<Gate> gates = predicateGates();
+    ASSERT_GT(gates.size(), 700u);
+    size_t inverse_pairs = 0, commuting_pairs = 0;
+    for (const Gate &a : gates) {
+        for (const Gate &b : gates) {
+            bool inverse = a == b.inverse();
+            inverse_pairs += inverse;
+            ASSERT_EQ(a.isInverseOf(b), inverse)
+                << a.toString() << " vs " << b.toString();
+            bool commutes = referenceCommutes(a, b);
+            commuting_pairs += commutes;
+            ASSERT_EQ(a.commutesWith(b), commutes)
+                << a.toString() << " vs " << b.toString();
+        }
+    }
+    // Both predicates must have been exercised on both outcomes.
+    EXPECT_GT(inverse_pairs, gates.size() / 2);
+    EXPECT_GT(commuting_pairs, gates.size());
+    EXPECT_LT(commuting_pairs, gates.size() * gates.size());
 }
 
 TEST(GateTest, ToString)

@@ -16,6 +16,7 @@
 
 #include "obs/obs.hpp"
 #include "ir/circuit.hpp"
+#include "opt/pipeline.hpp"
 #include "qmdd/package.hpp"
 
 #include "service/json.hpp"
@@ -358,4 +359,35 @@ TEST(ObsMetrics, PackagePublishesAllocatorAndTableInternals)
          {"qmdd.mul_evictions", "qmdd.add_evictions",
           "qmdd.ct_evictions", "qmdd.live_nodes", "qmdd.peak_nodes"})
         EXPECT_NO_THROW(v.at("gauges").at(g)) << g;
+}
+
+TEST(ObsMetrics, OptimizerPublishesWindowMemoCounters)
+{
+    obs::ScopedSink sink;
+    // The same 3-wire pattern on two wire triples: the second triple's
+    // windows repeat the first's.
+    qsyn::Circuit c(6);
+    for (qsyn::Qubit base : {0u, 3u}) {
+        c.addH(base);
+        c.addCnot(base, base + 1);
+        c.addT(base + 1);
+        c.addCnot(base + 1, base + 2);
+        c.addTdg(base + 2);
+        c.addH(base + 2);
+    }
+    (void)qsyn::opt::optimizeCircuit(c);
+
+    Json v;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(sink->metricsJson(), &v, &error))
+        << error;
+    for (const char *name :
+         {"opt.window_identity.windows", "opt.window_identity.memo_hits"})
+        EXPECT_NO_THROW(v.at("counters").at(name)) << name;
+    const obs::MetricsRegistry &m = sink->metrics();
+    double windows = m.counter("opt.window_identity.windows");
+    double hits = m.counter("opt.window_identity.memo_hits");
+    EXPECT_GT(windows, 0.0);
+    EXPECT_GT(hits, 0.0);
+    EXPECT_LE(hits, windows);
 }

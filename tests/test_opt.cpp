@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "device/registry.hpp"
 #include "ir/random_circuit.hpp"
@@ -269,6 +271,54 @@ TEST(WindowIdentity, SkipsDisjointInterleavedGates)
     EXPECT_EQ(c.size(), 1u);
     EXPECT_EQ(c[0].kind(), GateKind::X);
     EXPECT_TRUE(sameUnitary(before, c));
+}
+
+namespace {
+
+/** A 5-gate identity on three wires with no adjacent inverse pair:
+ *  CX(a,b) CX(b,c) CX(a,b) equals CX(b,c) CX(a,c). */
+void
+addCnotIdentity(Circuit &c, Qubit a, Qubit b, Qubit t)
+{
+    c.addCnot(a, b);
+    c.addCnot(b, t);
+    c.addCnot(a, b);
+    c.addCnot(b, t);
+    c.addCnot(a, t);
+}
+
+} // namespace
+
+TEST(WindowIdentity, MemoHitStillDeletes)
+{
+    // The second window is the first relabelled onto other wires, so
+    // its verdict comes from the memo; it must be deleted all the same.
+    Circuit c(6);
+    addCnotIdentity(c, 0, 1, 2);
+    addCnotIdentity(c, 3, 4, 5);
+    IdentityWindowMemo memo;
+    EXPECT_TRUE(removeIdentityWindows(c, 3, 16, &memo));
+    EXPECT_EQ(c.size(), 0u);
+    EXPECT_EQ(memo.windows, 2u);
+    EXPECT_EQ(memo.hits, 1u);
+}
+
+TEST(WindowIdentity, LastAngleBitSeparatesMemoEntries)
+{
+    // Two windows that differ only in the last bit of one Rz angle
+    // must not share a verdict.
+    const double angle = 0.3;
+    Circuit c(2);
+    c.addH(0);
+    c.add(Gate::rz(0, angle));
+    c.addH(1);
+    c.add(Gate::rz(1, std::nextafter(angle, 1.0)));
+    IdentityWindowMemo memo;
+    EXPECT_FALSE(removeIdentityWindows(c, 3, 16, &memo));
+    EXPECT_EQ(c.size(), 4u);
+    EXPECT_EQ(memo.windows, 2u);
+    EXPECT_EQ(memo.hits, 0u);
+    EXPECT_EQ(memo.prefix.size(), 2u);
 }
 
 TEST(Pipeline, ReachesFixedPointAndReports)

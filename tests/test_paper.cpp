@@ -1,0 +1,96 @@
+/**
+ * @file
+ * The paper's digit-exact Table 8 figures as a ctest gate
+ * (`ctest --preset paper`): the T6_b..T10_b cascades compiled for the
+ * proposed 96-qubit machine, with verification off so the gate stays
+ * fast. Any change to decomposition, routing or the optimizer that
+ * moves a reproduced number fails here rather than in a bench diff.
+ */
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "bench_circuits/mcx_suite.hpp"
+#include "core/qsyn.hpp"
+
+using namespace qsyn;
+using qsyn::bench::buildMcxBenchmark;
+using qsyn::bench::McxBenchmark;
+using qsyn::bench::mcxSuite;
+
+namespace {
+
+/** Compile every Table 8 row with `options` (verification off). */
+std::vector<CompileResult>
+compileTable8(CompileOptions options)
+{
+    options.verify = VerifyMode::Off;
+    Device dev = makeProposed96();
+    Compiler compiler(dev, options);
+    std::vector<CompileResult> rows;
+    for (const McxBenchmark &bench : mcxSuite())
+        rows.push_back(compiler.compile(buildMcxBenchmark(bench)));
+    return rows;
+}
+
+double
+summedOptimizedCost(const std::vector<CompileResult> &rows)
+{
+    double total = 0.0;
+    for (const CompileResult &r : rows)
+        total += r.optimizedM.cost;
+    return total;
+}
+
+} // namespace
+
+TEST(PaperTable8, OptimizedRowsAreExact)
+{
+    struct Row
+    {
+        size_t tCount;
+        size_t gates;
+        double cost;
+    };
+    const Row expected[] = {{297, 7531, 8437.0},
+                            {395, 9743, 10928.5},
+                            {492, 12574, 14084.0},
+                            {594, 15700, 17589.5},
+                            {690, 18976, 21241.0}};
+    std::vector<CompileResult> rows = compileTable8({});
+    ASSERT_EQ(rows.size(), std::size(expected));
+    for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].optimizedM.tCount, expected[i].tCount)
+            << mcxSuite()[i].name;
+        EXPECT_EQ(rows[i].optimizedM.gates, expected[i].gates)
+            << mcxSuite()[i].name;
+        EXPECT_DOUBLE_EQ(rows[i].optimizedM.cost, expected[i].cost)
+            << mcxSuite()[i].name;
+    }
+    EXPECT_DOUBLE_EQ(summedOptimizedCost(rows), 72280.0);
+}
+
+TEST(PaperTable8, IdentityWindowPassStillActs)
+{
+    // Optimization step 5 only changes Table 8's outputs: without it
+    // the summed cost rises.
+    CompileOptions options;
+    options.optimizer.enableWindowIdentity = false;
+    EXPECT_DOUBLE_EQ(summedOptimizedCost(compileTable8(options)),
+                     72412.5);
+}
+
+TEST(PaperTable8, UnoptimizedTCountsMatchThePaper)
+{
+    // Without the technology-independent stage the lowering reproduces
+    // the paper's T-counts digit for digit.
+    CompileOptions options;
+    options.optimizeTechIndependent = false;
+    const size_t expected[] = {336, 448, 560, 672, 784};
+    std::vector<CompileResult> rows = compileTable8(options);
+    ASSERT_EQ(rows.size(), std::size(expected));
+    for (size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i].unoptimized.tCount, expected[i])
+            << mcxSuite()[i].name;
+}

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -381,6 +382,7 @@ TEST_P(PassEquivalenceProperty, EachPassAloneIsExactOnRandomNct)
         {"phase_polynomial",
          [](Circuit &c) { return opt::mergePhasePolynomial(c); }},
     };
+    Circuit window_fresh = lowered;
     for (const NamedPass &pass : passes) {
         Circuit rewritten = lowered;
         pass.run(rewritten);
@@ -389,7 +391,18 @@ TEST_P(PassEquivalenceProperty, EachPassAloneIsExactOnRandomNct)
         EXPECT_TRUE(
             dd::isEquivalent(checker.check(lowered, rewritten)))
             << pass.name << " broke seed " << GetParam();
+        if (std::string(pass.name) == "window_identity")
+            window_fresh = rewritten;
     }
+
+    // The window memo is invisible: one memo shared by every seed
+    // (verdicts learnt on other circuits) gives the same circuit as
+    // the fresh memo above.
+    static opt::IdentityWindowMemo shared_memo;
+    Circuit window_shared = lowered;
+    opt::removeIdentityWindows(window_shared, 3, 16, &shared_memo);
+    EXPECT_TRUE(window_shared == window_fresh)
+        << "shared window memo changed seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(FiftySeeds, PassEquivalenceProperty,

@@ -639,6 +639,14 @@ TEST(ServiceProtocol, TruncatedFramesAndDisconnectsAreCleanDrops)
     service::Json ping = service::Json::makeObject();
     ping.object["op"] = service::Json::makeString("ping");
     EXPECT_TRUE(fresh.call(ping).boolOr("ok", false));
+    // Each connection has its own reader thread, so the ping can be
+    // answered before the broken connections are read; wait for their
+    // errors to be counted (10 s at most).
+    auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (srv.server().stats().protocolErrors < 1u &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::yield();
     EXPECT_GE(srv.server().stats().protocolErrors, 1u);
 }
 
