@@ -135,23 +135,28 @@ Package::context() const
 Package::WorkerContext *
 Package::contextSlow() const
 {
-    // Serials are unique across all packages ever constructed, so a
-    // stale map entry for a destroyed package can never be returned
-    // for a new one that reuses its address.
-    thread_local std::unordered_map<std::uint64_t, WorkerContext *> map;
-    auto it = map.find(serial_);
-    if (it != map.end())
-        return it->second;
+    // Reached when a thread switches packages. The contexts live in the
+    // package, so nothing outlives it on the thread's side. A thread id
+    // reused after a join adopts its predecessor's context; the join
+    // orders the two threads' accesses.
+    const std::thread::id self = std::this_thread::get_id();
+    {
+        std::lock_guard<std::mutex> lock(ctx_mu_);
+        for (const auto &c : contexts_) {
+            if (c->owner == self)
+                return c.get();
+        }
+    }
+    // Only this thread creates a context with its own id, so nobody can
+    // add one between the scan and the insert.
     auto owned = std::make_unique<WorkerContext>();
+    owned->owner = self;
     owned->mul_cache.resize(mul_ways_);
     owned->add_cache.resize(add_ways_);
     owned->ct_cache.resize(ct_ways_);
     WorkerContext *ctx = owned.get();
-    {
-        std::lock_guard<std::mutex> lock(ctx_mu_);
-        contexts_.push_back(std::move(owned));
-    }
-    map.emplace(serial_, ctx);
+    std::lock_guard<std::mutex> lock(ctx_mu_);
+    contexts_.push_back(std::move(owned));
     return ctx;
 }
 
@@ -830,6 +835,19 @@ Package::freeListLength() const
     return total;
 }
 
+size_t
+Package::computeCacheBytes() const
+{
+    size_t total = 0;
+    std::lock_guard<std::mutex> lock(ctx_mu_);
+    for (const auto &c : contexts_) {
+        total += c->mul_cache.size() * sizeof(MulSlot) +
+                 c->add_cache.size() * sizeof(AddSlot) +
+                 c->ct_cache.size() * sizeof(CtSlot);
+    }
+    return total;
+}
+
 void
 Package::beginSession()
 {
@@ -1084,6 +1102,8 @@ Package::publishMetrics(const char *prefix) const
     m.setGauge(p + ".peak_nodes", static_cast<double>(st.peakNodes));
     m.setGauge(p + ".arena_nodes", static_cast<double>(arenaNodes()));
     m.setGauge(p + ".arena_bytes", static_cast<double>(arenaBytes()));
+    m.setGauge(p + ".compute_cache_bytes",
+               static_cast<double>(computeCacheBytes()));
     m.setGauge(p + ".free_list_length",
                static_cast<double>(freeListLength()));
     m.setGauge(p + ".unique_capacity",

@@ -45,6 +45,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -100,8 +101,12 @@ struct PackageStats
     }
 };
 
-/** Construction-time tuning knobs. The defaults fit one compile of a
- *  mid-size circuit; tests shrink them to force rehash/GC paths. */
+/** Construction-time tuning knobs. compile() verifies on a fresh
+ *  package, so the defaults are sized to one miter's working set, not
+ *  to a long-lived package: the unique table and the GC trigger grow
+ *  on demand, the compute caches stay fixed. Tests shrink them to
+ *  force rehash/GC paths, and qbench's eviction scenario shrinks the
+ *  compute caches. */
 struct PackageConfig
 {
     /** Initial unique-table slot count, summed across shards (each
@@ -112,10 +117,19 @@ struct PackageConfig
      *  mean less lock contention between concurrent workers; 1 gives
      *  the classic single-table layout. */
     size_t uniqueShards = 16;
-    /** Sets per compute cache (each set holds 2 ways, per thread). */
-    size_t mulCacheSets = size_t{1} << 16;
-    size_t addCacheSets = size_t{1} << 15;
-    size_t ctCacheSets = size_t{1} << 12;
+    /** Sets per compute cache (each set holds 2 ways, per thread).
+     *  A thread's caches are allocated and zeroed on its first call
+     *  into a package and cleared by every GC, and compile() verifies
+     *  on a fresh package, so their size is paid per compile. The
+     *  miter stays near the projector, so its working set is small:
+     *  these are the smallest sizes (mul swept over 2^8..2^16 with
+     *  add = mul/2, ct = mul/16) that keep `multiplies` within 5% of
+     *  2^16 mul sets on every benchmark workload (paper_tables +2.8%,
+     *  the most; docs/performance.md). They take 560 KiB per thread
+     *  (computeCacheBytes(); the budget is 1 MiB). */
+    size_t mulCacheSets = size_t{1} << 12;
+    size_t addCacheSets = size_t{1} << 11;
+    size_t ctCacheSets = size_t{1} << 8;
     /** Live-node threshold that triggers automatic GC. Sized to the
      *  miter's live set, not its garbage: each sweep doubles the
      *  trigger while survivors exceed half of it and halves it back
@@ -244,6 +258,9 @@ class Package
     size_t arenaBytes() const;
     /** Reclaimed nodes awaiting reuse, summed over shards. */
     size_t freeListLength() const;
+    /** Bytes of mul/add/ct compute-cache slots, summed over every
+     *  thread's worker context (the `compute_cache_bytes` gauge). */
+    size_t computeCacheBytes() const;
     /** Exact merged counter snapshot: per-thread counters summed over
      *  every worker context plus the shard/global counters. */
     PackageStats stats() const;
@@ -365,10 +382,13 @@ class Package
      * Per-thread state: the compute caches, the maxMagnitude memo, the
      * thread's counters, and its GC-session bookkeeping. Created
      * lazily the first time a thread touches the package; owned by the
-     * package, found via a thread-local map keyed by package serial.
+     * package and found by its owner's thread id, so a thread keeps no
+     * per-package state beyond context()'s one-entry cache.
      */
     struct alignas(64) WorkerContext
     {
+        /** Set at creation, never changed. */
+        std::thread::id owner;
         std::vector<MulSlot> mul_cache;
         std::vector<AddSlot> add_cache;
         std::vector<CtSlot> ct_cache;

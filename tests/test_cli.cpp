@@ -341,8 +341,8 @@ TEST(CliRun, TraceAndMetricsJsonFiles)
     metrics << metrics_in.rdbuf();
     for (const char *metric :
          {"qmdd.unique_hit_rate", "qmdd.compute_hit_rate",
-          "route.swaps_inserted", "opt.gates_removed",
-          "frontend.gates_parsed"})
+          "qmdd.compute_cache_bytes", "route.swaps_inserted",
+          "opt.gates_removed", "frontend.gates_parsed"})
         EXPECT_NE(metrics.str().find(metric), std::string::npos)
             << metric;
 

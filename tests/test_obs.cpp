@@ -349,6 +349,10 @@ TEST(ObsMetrics, PackagePublishesAllocatorAndTableInternals)
     EXPECT_GE(m.gauge("qmdd.unique_load_factor"), 0.0);
     EXPECT_LT(m.gauge("qmdd.unique_load_factor"), 1.0);
     EXPECT_GE(m.gauge("qmdd.unique_rehashes"), 1.0);
+    // Compute-cache footprint: this thread's one context.
+    EXPECT_GT(m.gauge("qmdd.compute_cache_bytes"), 0.0);
+    EXPECT_DOUBLE_EQ(m.gauge("qmdd.compute_cache_bytes"),
+                     static_cast<double>(pkg.computeCacheBytes()));
     // Per-cache eviction counters are present (zero is fine for a
     // circuit this small, but the gauges themselves must exist).
     Json v;

@@ -281,6 +281,23 @@ TEST(Qmdd, StatsCountOperations)
     EXPECT_GT(pkg.stats().uniqueLookups, 0u);
 }
 
+TEST(Qmdd, DefaultComputeCachesStaySmall)
+{
+    // compile() verifies on a fresh package, which allocates and zeroes
+    // a thread's caches on its first call: the default geometry is paid
+    // per compile, so it must stay within the 1 MiB per thread that
+    // PackageConfig and docs/performance.md budget.
+    Package pkg;
+    EXPECT_EQ(pkg.computeCacheBytes(), 0u);
+    Circuit c(2);
+    c.addH(0);
+    c.addCnot(0, 1);
+    (void)pkg.buildCircuit(c);
+    ASSERT_GT(pkg.stats().multiplies, 0u);
+    EXPECT_GT(pkg.computeCacheBytes(), 0u);
+    EXPECT_LE(pkg.computeCacheBytes(), size_t{1} << 20);
+}
+
 TEST(Qmdd, DdAgreesWithSimulatorOnRandomStates)
 {
     Package pkg;

@@ -352,3 +352,37 @@ TEST(QmddConcurrency, SharedTableKeepsPeakNodesBelowSumOfPrivatePeaks)
     onThreads(kThreads, [&](size_t) { (void)shared.buildCircuit(c); });
     EXPECT_LT(shared.stats().peakNodes, private_sum);
 }
+
+TEST(QmddConcurrency, ThreadsSwitchingPackagesKeepTheirOwnContexts)
+{
+    // Each round creates and destroys a private package, so the next
+    // call into `shared` misses context()'s one-entry cache and finds
+    // the thread's context inside the package by thread id. A product
+    // with the identity counts exactly one multiply, and the threads do
+    // different amounts, so a swapped or recreated context shows.
+    Package shared;
+    constexpr size_t kThreads = 2;
+    constexpr size_t kRounds = 100;
+    std::vector<size_t> counted(kThreads);
+    onThreads(kThreads, [&](size_t t) {
+        const size_t before = shared.threadStats().multiplies;
+        const Edge g = shared.gateDD(Gate::h(static_cast<Qubit>(t)));
+        for (size_t i = 0; i < kRounds * (t + 1); ++i) {
+            Package priv;
+            Edge x = priv.gateDD(Gate::x(0));
+            EXPECT_EQ(priv.multiply(x, x), priv.identityEdge());
+            EXPECT_EQ(priv.threadStats().multiplies,
+                      priv.stats().multiplies);
+            EXPECT_EQ(shared.multiply(shared.identityEdge(), g), g);
+        }
+        counted[t] = shared.threadStats().multiplies - before;
+    });
+    for (size_t t = 0; t < kThreads; ++t)
+        EXPECT_EQ(counted[t], kRounds * (t + 1)) << "thread " << t;
+    EXPECT_EQ(shared.stats().multiplies, 3 * kRounds);
+    // One context per thread, however often each came back.
+    Package one;
+    (void)one.gateDD(Gate::x(0));
+    EXPECT_EQ(shared.computeCacheBytes(),
+              kThreads * one.computeCacheBytes());
+}
