@@ -259,10 +259,6 @@ BatchCompiler::publishMetrics(const char *prefix) const
     m.setGauge(p + ".share_manager", share_manager_ ? 1.0 : 0.0);
     m.setGauge(p + ".wall_seconds", summary_.wallSeconds);
     m.setGauge(p + ".sum_seconds", summary_.sumSeconds);
-    m.setGauge(p + ".speedup",
-               summary_.wallSeconds > 0.0
-                   ? summary_.sumSeconds / summary_.wallSeconds
-                   : 0.0);
     m.setGauge(p + ".gates_out",
                static_cast<double>(totalGatesOut_));
     m.setGauge(p + ".user_cpu_seconds",

@@ -76,8 +76,10 @@ struct BatchSummary
     size_t jobs = 0;
     /** End-to-end wall time of the batch. */
     double wallSeconds = 0.0;
-    /** Sum of per-item wall times (== sequential-equivalent time;
-     *  wallSeconds / sumSeconds shows the parallel speedup). */
+    /** Sum of per-item wall times. Not a speedup numerator: with
+     *  several workers it exceeds wallSeconds by about the number of
+     *  items in flight, even when contention keeps the batch from
+     *  finishing any sooner. */
     double sumSeconds = 0.0;
     /** Aggregated per-compile resource usage of the successful items:
      *  CPU times add, RSS / QMDD peaks take the max. */

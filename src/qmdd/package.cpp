@@ -30,10 +30,6 @@ constexpr size_t kMinGcThreshold = 1024;
  *  exercise the growth path even when spread across many shards. */
 constexpr size_t kMinShardSlots = 16;
 
-/** Upper bound on shards; beyond this lock contention is no longer
- *  the bottleneck and the fixed per-shard footprint dominates. */
-constexpr size_t kMaxShards = 256;
-
 size_t
 nextPowerOfTwo(size_t v)
 {
@@ -84,29 +80,17 @@ Package::Package() : Package(PackageConfig{})
 
 Package::Package(const PackageConfig &config)
     : serial_(g_package_serial.fetch_add(1, std::memory_order_relaxed)),
-      mul_ways_(2 * nextPowerOfTwo(std::max<size_t>(
-                        config.mulCacheSets, 16))),
-      add_ways_(2 * nextPowerOfTwo(std::max<size_t>(
-                        config.addCacheSets, 16))),
-      ct_ways_(2 * nextPowerOfTwo(std::max<size_t>(
-                       config.ctCacheSets, 16))),
-      mul_set_mask_(mul_ways_ / 2 - 1),
-      add_set_mask_(add_ways_ / 2 - 1),
-      ct_set_mask_(ct_ways_ / 2 - 1),
       gc_threshold_(std::max(config.gcThreshold, kMinGcThreshold)),
       min_gc_threshold_(
           std::max(config.gcThreshold, kMinGcThreshold))
 {
     terminal_.var = kTerminalVar;
-    size_t num_shards = nextPowerOfTwo(std::clamp<size_t>(
-        config.uniqueShards, 1, kMaxShards));
-    shard_mask_ = num_shards - 1;
     // Split the configured capacity evenly across shards, with a small
     // per-shard floor. Tiny totals (test configs) end up below the old
     // single-table floor of 64 on purpose: growth still triggers.
     size_t per_shard = nextPowerOfTwo(std::max(
-        config.initialUniqueCapacity / num_shards, kMinShardSlots));
-    for (size_t i = 0; i < num_shards; ++i) {
+        config.initialUniqueCapacity / kUniqueShards, kMinShardSlots));
+    for (size_t i = 0; i < kUniqueShards; ++i) {
         shards_.emplace_back();
         UniqueShard &s = shards_.back();
         s.slots.assign(per_shard, nullptr);
@@ -151,9 +135,9 @@ Package::contextSlow() const
     // add one between the scan and the insert.
     auto owned = std::make_unique<WorkerContext>();
     owned->owner = self;
-    owned->mul_cache.resize(mul_ways_);
-    owned->add_cache.resize(add_ways_);
-    owned->ct_cache.resize(ct_ways_);
+    owned->mul_cache.resize(2 * kMulCacheSets);
+    owned->add_cache.resize(2 * kAddCacheSets);
+    owned->ct_cache.resize(2 * kCtCacheSets);
     WorkerContext *ctx = owned.get();
     std::lock_guard<std::mutex> lock(ctx_mu_);
     contexts_.push_back(std::move(owned));
@@ -166,7 +150,7 @@ Package::shardOf(size_t hash)
     // Slot probing consumes the low hash bits (shard.mask), so the
     // shard index comes from the high half: the two selections stay
     // uncorrelated.
-    return shards_[(hash >> 32) & shard_mask_];
+    return shards_[(hash >> 32) & (kUniqueShards - 1)];
 }
 
 void
@@ -427,7 +411,8 @@ Package::mulNodes(WorkerContext &ctx, Node *x, Node *y)
     if (isTerminal(y))
         return Edge{x, ctab_.one()};
 
-    size_t set = hashCombine(hashPtr(x), hashPtr(y)) & mul_set_mask_;
+    size_t set =
+        hashCombine(hashPtr(x), hashPtr(y)) & (kMulCacheSets - 1);
     MulSlot *w0 = &ctx.mul_cache[2 * set];
     MulSlot *w1 = w0 + 1;
     ctx.stats.bump(ctx.stats.computeLookups);
@@ -497,7 +482,8 @@ Package::addImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
     if (std::make_pair(kb.node, kb.weight) <
         std::make_pair(ka.node, ka.weight))
         std::swap(ka, kb);
-    size_t set = hashCombine(hashEdge(ka), hashEdge(kb)) & add_set_mask_;
+    size_t set =
+        hashCombine(hashEdge(ka), hashEdge(kb)) & (kAddCacheSets - 1);
     AddSlot *w0 = &ctx.add_cache[2 * set];
     AddSlot *w1 = w0 + 1;
     ctx.stats.bump(ctx.stats.computeLookups);
@@ -555,7 +541,7 @@ Package::ctImpl(WorkerContext &ctx, const Edge &a)
     if (isTerminal(a.node)) {
         r = identityEdge();
     } else {
-        size_t set = hashPtr(a.node) & ct_set_mask_;
+        size_t set = hashPtr(a.node) & (kCtCacheSets - 1);
         CtSlot *w0 = &ctx.ct_cache[2 * set];
         CtSlot *w1 = w0 + 1;
         ctx.stats.bump(ctx.stats.computeLookups);

@@ -104,32 +104,15 @@ struct PackageStats
 /** Construction-time tuning knobs. compile() verifies on a fresh
  *  package, so the defaults are sized to one miter's working set, not
  *  to a long-lived package: the unique table and the GC trigger grow
- *  on demand, the compute caches stay fixed. Tests shrink them to
- *  force rehash/GC paths, and qbench's eviction scenario shrinks the
- *  compute caches. */
+ *  on demand. Tests shrink both to force the rehash and GC paths. The
+ *  shard count and the compute-cache geometry are constants (see
+ *  Package::kUniqueShards and the k*CacheSets below it). */
 struct PackageConfig
 {
     /** Initial unique-table slot count, summed across shards (each
      *  shard rounds its slice up to a power of 2, with a small floor).
      *  Shards grow past this on demand and never shrink below. */
     size_t initialUniqueCapacity = size_t{1} << 16;
-    /** Unique-table shards (rounded up to a power of 2). More shards
-     *  mean less lock contention between concurrent workers; 1 gives
-     *  the classic single-table layout. */
-    size_t uniqueShards = 16;
-    /** Sets per compute cache (each set holds 2 ways, per thread).
-     *  A thread's caches are allocated and zeroed on its first call
-     *  into a package and cleared by every GC, and compile() verifies
-     *  on a fresh package, so their size is paid per compile. The
-     *  miter stays near the projector, so its working set is small:
-     *  these are the smallest sizes (mul swept over 2^8..2^16 with
-     *  add = mul/2, ct = mul/16) that keep `multiplies` within 5% of
-     *  2^16 mul sets on every benchmark workload (paper_tables +2.8%,
-     *  the most; docs/performance.md). They take 560 KiB per thread
-     *  (computeCacheBytes(); the budget is 1 MiB). */
-    size_t mulCacheSets = size_t{1} << 12;
-    size_t addCacheSets = size_t{1} << 11;
-    size_t ctCacheSets = size_t{1} << 8;
     /** Live-node threshold that triggers automatic GC. Sized to the
      *  miter's live set, not its garbage: each sweep doubles the
      *  trigger while survivors exceed half of it and halves it back
@@ -246,7 +229,7 @@ class Package
     /** Current unique-table slot count, summed over shards. */
     size_t uniqueCapacity() const;
     /** Number of unique-table shards. */
-    size_t uniqueShards() const { return shards_.size(); }
+    size_t uniqueShards() const { return kUniqueShards; }
     /** Live nodes / slots; each shard's resize trigger keeps its own
      *  ratio under the internal maximum (kMaxLoadPercent). */
     double uniqueLoadFactor() const;
@@ -329,6 +312,23 @@ class Package
     /// @}
 
   private:
+    /** Unique-table shards, each under its own lock, so concurrent
+     *  workers rarely wait on one another. */
+    static constexpr size_t kUniqueShards = 16;
+    /** Sets per compute cache (each set holds 2 ways, per thread).
+     *  A thread's caches are allocated and zeroed on its first call
+     *  into a package and cleared by every GC, and compile() verifies
+     *  on a fresh package, so their size is paid per compile. The
+     *  miter stays near the projector, so its working set is small:
+     *  these are the smallest sizes (mul swept over 2^8..2^16 with
+     *  add = mul/2, ct = mul/16) that keep `multiplies` within 5% of
+     *  2^16 mul sets on every benchmark workload (paper_tables +2.8%,
+     *  the most; docs/performance.md). They take 560 KiB per thread
+     *  (computeCacheBytes(); the budget is 1 MiB). */
+    static constexpr size_t kMulCacheSets = size_t{1} << 12;
+    static constexpr size_t kAddCacheSets = size_t{1} << 11;
+    static constexpr size_t kCtCacheSets = size_t{1} << 8;
+
     /** One way of a 2-way set-associative product-cache set. `age`
      *  is the pseudo-LRU bit: 0 = most recently touched in its set. */
     struct MulSlot
@@ -469,11 +469,6 @@ class Package
     const std::uint64_t serial_;
 
     std::deque<UniqueShard> shards_;
-    size_t shard_mask_;
-
-    /** Compute-cache geometry shared by every worker context. */
-    size_t mul_ways_, add_ways_, ct_ways_;
-    size_t mul_set_mask_, add_set_mask_, ct_set_mask_;
 
     mutable std::mutex ctx_mu_;
     mutable std::vector<std::unique_ptr<WorkerContext>> contexts_;

@@ -1,10 +1,10 @@
 /**
  * @file
  * Blocking qsynd client: connect, exchange one frame per call. Used by
- * `qsync --remote`, the qload load generator, qbench's service
- * scenario, and the service test suite — all of them speak to the
- * daemon through this one class so protocol handling (framing,
- * errors, oversized responses) lives in exactly one place.
+ * `qsync --remote`, the qload load generator, perfbench's
+ * service_mix workload, and the service test suite — all of them
+ * speak to the daemon through this one class so protocol handling
+ * (framing, errors, oversized responses) lives in exactly one place.
  */
 
 #pragma once

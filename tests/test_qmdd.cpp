@@ -300,22 +300,31 @@ TEST(Qmdd, DefaultComputeCachesStaySmall)
 
 TEST(Qmdd, DdAgreesWithSimulatorOnRandomStates)
 {
-    Package pkg;
-    Rng rng(23);
-    RandomCircuitOptions opts;
-    opts.numQubits = 5;
-    opts.numGates = 40;
-    opts.maxControls = 3;
-    Circuit c = randomCircuit(rng, opts);
-    Edge e = pkg.buildCircuit(c);
+    // The 120-gate input overflows the 2-way mul and add caches, so
+    // their eviction path must keep the products right as well.
+    for (size_t gates : {40, 120}) {
+        Package pkg;
+        Rng rng(23);
+        RandomCircuitOptions opts;
+        opts.numQubits = 5;
+        opts.numGates = gates;
+        opts.maxControls = 3;
+        Circuit c = randomCircuit(rng, opts);
+        Edge e = pkg.buildCircuit(c);
 
-    sim::StateVector sv(5);
-    sv.setBasisState(13);
-    sv.apply(c);
-    // Column 13 of the DD must equal the evolved basis state.
-    for (size_t r = 0; r < 32; ++r) {
-        EXPECT_TRUE(approxEqual(pkg.getEntry(e, r, 13, 5), sv.amp(r),
-                                1e-9));
+        sim::StateVector sv(5);
+        sv.setBasisState(13);
+        sv.apply(c);
+        // Column 13 of the DD must equal the evolved basis state.
+        for (size_t r = 0; r < 32; ++r) {
+            EXPECT_TRUE(approxEqual(pkg.getEntry(e, r, 13, 5),
+                                    sv.amp(r), 1e-9))
+                << gates << " gates, row " << r;
+        }
+        if (gates == 120) {
+            EXPECT_GT(pkg.stats().mulEvictions, 0u);
+            EXPECT_GT(pkg.stats().addEvictions, 0u);
+        }
     }
 }
 

@@ -530,6 +530,26 @@ TEST(ServiceE2E, SigtermDrainsInFlightRequest)
     EXPECT_FALSE(fs::exists(daemon.socket()));
 }
 
+TEST(ServiceE2E, MetricsPromFinalPageCountsTheCompile)
+{
+    // An hour between scheduled flushes: only the flush on SIGTERM can
+    // write a page that counts the compile, and the flusher must wake
+    // for the stop instead of sleeping out its interval.
+    fs::path prom =
+        scratchDir("prom-" + std::to_string(::getpid())) / "m.prom";
+    Daemon daemon({"--metrics-prom", prom.string(), "--stats-interval",
+                   "3600"});
+    daemon.waitReady();
+    service::Client client =
+        service::Client::connectUnix(daemon.socket());
+    service::Json resp = client.call(compileRequest(kSmallQasm));
+    ASSERT_TRUE(resp.boolOr("ok", false)) << errorCodeOf(resp);
+
+    EXPECT_EQ(daemon.terminate(), 0);
+    EXPECT_NE(slurp(prom).find("qsyn_service_compile_latency_us_count 1\n"),
+              std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Protocol robustness: in-process Server attacked at the byte level.
 // ---------------------------------------------------------------------

@@ -3,8 +3,8 @@
  * qload: load generator for a running qsynd daemon. N concurrent
  * clients each fire sequential compile requests at the socket for a
  * fixed count (or time budget), and the per-request latencies are
- * folded into p50/p95/p99 percentiles. `--json` prints them with the
- * service_warm_* keys qbench's baseline tracking consumes.
+ * folded into p50/p95/p99 percentiles. `--json` prints them as
+ * service_warm_* keys for scripts.
  */
 
 #include <algorithm>
@@ -59,7 +59,7 @@ quantileSorted(const std::vector<double> &sorted, double q)
 {
     if (sorted.empty())
         return 0.0;
-    // Type-7 (linear interpolation), matching qbench's estimator.
+    // Type-7 (linear interpolation between the closest ranks).
     double pos = q * static_cast<double>(sorted.size() - 1);
     size_t lo = static_cast<size_t>(pos);
     size_t hi = std::min(lo + 1, sorted.size() - 1);

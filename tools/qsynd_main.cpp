@@ -12,9 +12,12 @@
  * teardown.
  */
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <iostream>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -186,23 +189,31 @@ main(int argc, char **argv)
         if (!metricsPromPath.empty() && statsInterval <= 0.0)
             statsInterval = 5.0;
         if (!metricsPromPath.empty()) {
-            // Piggyback the metrics flush on the stop-wait loop.
+            // Rewrite the page every statsInterval seconds (capped so
+            // the wait's deadline cannot overflow); the stop below
+            // wakes the flusher at once.
+            const std::chrono::duration<double> period(
+                std::min(statsInterval, 1e9));
+            std::mutex flush_mu;
+            std::condition_variable flush_cv;
+            bool stopped = false;
             std::thread flusher([&] {
                 obs::nameCurrentThread("qsynd-metrics");
-                while (server.running()) {
+                std::unique_lock<std::mutex> lock(flush_mu);
+                do {
                     std::string error;
                     obs::writePrometheusFile(sink.metrics(),
                                              metricsPromPath, &error);
-                    for (double waited = 0.0;
-                         waited < statsInterval && server.running();
-                         waited += 0.2) {
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(200));
-                    }
-                }
+                } while (!flush_cv.wait_for(lock, period,
+                                            [&] { return stopped; }));
             });
             server.waitForStopRequest();
             server.stop();
+            {
+                std::lock_guard<std::mutex> lock(flush_mu);
+                stopped = true;
+            }
+            flush_cv.notify_one();
             flusher.join();
             std::string error;
             obs::writePrometheusFile(sink.metrics(), metricsPromPath,
