@@ -1,6 +1,7 @@
 #include "qmdd/equivalence.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/deadline.hpp"
@@ -87,6 +88,72 @@ EquivalenceChecker::compareEdges(const Edge &a, const Edge &b,
     return Equivalence::NotEquivalent;
 }
 
+namespace {
+
+/**
+ * Most wires one fused miter step may touch. Chosen by a width sweep
+ * (docs/performance.md): at 2, wide96's checks take twice as long; at
+ * 4, deep5's and paper_tables' take a third to a half longer.
+ */
+constexpr size_t kFuseWires = 3;
+
+/**
+ * End of the maximal run of `c` that starts at `begin` and whose
+ * gates together touch at most kFuseWires wires. A wider gate is a
+ * run of its own; a barrier neither counts nor ends a run.
+ */
+size_t
+fusedRunEnd(const Circuit &c, size_t begin)
+{
+    std::array<Qubit, kFuseWires> wires{};
+    size_t used = 0;
+    // Add q to the run's wires; false when that would overfill them.
+    auto join = [&](Qubit q) {
+        if (std::find(wires.begin(), wires.begin() + used, q) !=
+            wires.begin() + used)
+            return true;
+        if (used == kFuseWires)
+            return false;
+        wires[used++] = q;
+        return true;
+    };
+    for (size_t i = begin; i < c.size(); ++i) {
+        const Gate &g = c[i];
+        if (g.kind() == GateKind::Barrier)
+            continue;
+        if (g.numQubits() > kFuseWires)
+            return used == 0 ? i + 1 : i;
+        if (!std::all_of(g.controls().begin(), g.controls().end(), join) ||
+            !std::all_of(g.targets().begin(), g.targets().end(), join))
+            return i;
+    }
+    return c.size();
+}
+
+/**
+ * Multiply the run of `c` that starts at *pos into one block and
+ * advance *pos past it: the run's product for the candidate, the
+ * adjoint of the run's product for the reference. Polls the deadline
+ * after every gate.
+ */
+Edge
+fusedBlock(Package &pkg, const Circuit &c, size_t *pos, bool reference)
+{
+    const size_t end = fusedRunEnd(c, *pos);
+    Edge f = pkg.identityEdge();
+    for (; *pos < end; ++*pos) {
+        const Gate &g = c[*pos];
+        if (g.kind() == GateKind::Barrier)
+            continue;
+        f = reference ? pkg.multiply(f, pkg.gateDD(g.inverse()))
+                      : pkg.multiply(pkg.gateDD(g), f);
+        deadline::check("qmdd miter check");
+    }
+    return f;
+}
+
+} // namespace
+
 Equivalence
 EquivalenceChecker::checkMiter(const Circuit &a, const Circuit &b,
                                const EquivalenceOptions &opts)
@@ -94,15 +161,19 @@ EquivalenceChecker::checkMiter(const Circuit &a, const Circuit &b,
     // Accumulate M = U_b . P . U_a^dagger, advancing whichever circuit
     // is proportionally behind so M stays near P throughout. The
     // caller guarantees that a leaves the ancilla wires idle, so
-    // U_a commutes with P and M == P iff U_b . P == U_a . P.
+    // U_a commutes with P and M == P iff U_b . P == U_a . P. Each step
+    // first multiplies a run of gates on at most kFuseWires wires into
+    // a block of at most 21 nodes, then the block into M, so M is
+    // rebuilt once per run instead of once per gate.
     obs::Span span("qmdd.miter");
     const Edge p = opts.ancillaWires.empty()
                        ? pkg_.identityEdge()
                        : pkg_.makeProjector(opts.ancillaWires);
     Edge m = p;
-    size_t ia = 0, ib = 0;
+    size_t ia = 0, ib = 0, steps_a = 0, steps_b = 0;
     const size_t na = a.size(), nb = b.size();
-    while (ia < na || ib < nb) {
+    bool over_budget = false;
+    while (!over_budget && (ia < na || ib < nb)) {
         bool advance_b;
         if (ib >= nb) {
             advance_b = false;
@@ -113,25 +184,23 @@ EquivalenceChecker::checkMiter(const Circuit &a, const Circuit &b,
             advance_b = ib * na <= ia * nb;
         }
         if (advance_b) {
-            const Gate &g = b[ib++];
-            if (g.kind() == GateKind::Barrier)
-                continue;
-            m = pkg_.multiply(pkg_.gateDD(g), m);
+            m = pkg_.multiply(fusedBlock(pkg_, b, &ib, false), m);
+            ++steps_b;
         } else {
-            const Gate &g = a[ia++];
-            if (g.kind() == GateKind::Barrier)
-                continue;
-            m = pkg_.multiply(m, pkg_.gateDD(g.inverse()));
+            m = pkg_.multiply(m, fusedBlock(pkg_, a, &ia, true));
+            ++steps_a;
         }
-        deadline::check("qmdd miter check");
         if (pkg_.activeNodes() > pkg_.gcThreshold())
             pkg_.requestGc();
         if (pkg_.gcPending())
             pkg_.safePoint({m, p});
-        if (opts.nodeBudget != 0 && pkg_.activeNodes() > opts.nodeBudget)
-            return Equivalence::Inconclusive;
+        over_budget =
+            opts.nodeBudget != 0 && pkg_.activeNodes() > opts.nodeBudget;
     }
-    return compareEdges(m, p, opts);
+    span.arg("steps_a", steps_a);
+    span.arg("steps_b", steps_b);
+    return over_budget ? Equivalence::Inconclusive
+                       : compareEdges(m, p, opts);
 }
 
 Equivalence

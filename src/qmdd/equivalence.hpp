@@ -12,11 +12,17 @@
  *    ancillas start clean, and returns them clean");
  *  - a projected alternating miter (Burgholzer & Wille, "Advanced
  *    Equivalence Checking for Quantum Circuits", 2021): check()
- *    accumulates U_b . P . U_a^dagger gate by gate, interleaving the
- *    two circuits in proportion to their progress, so the product
+ *    accumulates U_b . P . U_a^dagger, interleaving the two circuits
+ *    in proportion to their progress (by gate index), so the product
  *    stays near P instead of growing into two full unitaries. When
  *    the reference leaves the ancilla wires idle it commutes with P,
  *    and the product equals P exactly when U_b . P == U_a . P;
+ *  - fused miter steps: each circuit is cut into maximal runs of
+ *    consecutive gates that together touch at most three wires (a
+ *    wider gate is a run of its own). A run is first multiplied into
+ *    a block of at most 21 nodes, and the block into the product in
+ *    one step, so the product is rebuilt once per run rather than
+ *    once per gate (the block size of TopAS, Weiden et al. 2022);
  *  - a node budget that yields Inconclusive instead of thrashing.
  */
 

@@ -99,7 +99,30 @@ Package::Package(const PackageConfig &config)
     }
 }
 
-Package::~Package() = default;
+Package::SpareCaches &
+Package::spareCaches()
+{
+    thread_local SpareCaches spare;
+    return spare;
+}
+
+Package::~Package()
+{
+    // Leave this thread's cache slots to its next package. compile()
+    // verifies on a fresh package; freeing ~500 KiB after every compile
+    // let glibc trim the top of the heap and fault it back in on the
+    // next one, or not, depending on what happened to sit above it
+    // (docs/performance.md).
+    SpareCaches &spare = spareCaches();
+    const std::thread::id self = std::this_thread::get_id();
+    for (const auto &c : contexts_) {
+        if (c->owner == self && spare.mul.empty()) {
+            spare.mul = std::move(c->mul_cache);
+            spare.add = std::move(c->add_cache);
+            spare.ct = std::move(c->ct_cache);
+        }
+    }
+}
 
 Package::WorkerContext *
 Package::context() const
@@ -135,9 +158,24 @@ Package::contextSlow() const
     // add one between the scan and the insert.
     auto owned = std::make_unique<WorkerContext>();
     owned->owner = self;
-    owned->mul_cache.resize(2 * kMulCacheSets);
-    owned->add_cache.resize(2 * kAddCacheSets);
-    owned->ct_cache.resize(2 * kCtCacheSets);
+    SpareCaches &spare = spareCaches();
+    if (spare.mul.empty()) {
+        owned->mul_cache.resize(2 * kMulCacheSets);
+        owned->add_cache.resize(2 * kAddCacheSets);
+        owned->ct_cache.resize(2 * kCtCacheSets);
+    } else {
+        // An earlier package's slots: keyed by its node addresses,
+        // which this package may reuse, so they start empty.
+        owned->mul_cache = std::move(spare.mul);
+        owned->add_cache = std::move(spare.add);
+        owned->ct_cache = std::move(spare.ct);
+        std::fill(owned->mul_cache.begin(), owned->mul_cache.end(),
+                  MulSlot{});
+        std::fill(owned->add_cache.begin(), owned->add_cache.end(),
+                  AddSlot{});
+        std::fill(owned->ct_cache.begin(), owned->ct_cache.end(),
+                  CtSlot{});
+    }
     WorkerContext *ctx = owned.get();
     std::lock_guard<std::mutex> lock(ctx_mu_);
     contexts_.push_back(std::move(owned));

@@ -316,8 +316,9 @@ class Package
      *  workers rarely wait on one another. */
     static constexpr size_t kUniqueShards = 16;
     /** Sets per compute cache (each set holds 2 ways, per thread).
-     *  A thread's caches are allocated and zeroed on its first call
-     *  into a package and cleared by every GC, and compile() verifies
+     *  A thread's caches are zeroed on its first call into a package
+     *  (allocated only when no earlier package on the thread left its
+     *  slots behind) and cleared by every GC, and compile() verifies
      *  on a fresh package, so their size is paid per compile. The
      *  miter stays near the projector, so its working set is small:
      *  these are the smallest sizes (mul swept over 2^8..2^16 with
@@ -400,6 +401,17 @@ class Package
         std::vector<Edge> parkedRoots;
         bool parked = false; ///< guarded by gc_mu_
     };
+
+    /** Cache slots a destroyed package left to the thread that owned
+     *  them, for that thread's next context (see ~Package). */
+    struct SpareCaches
+    {
+        std::vector<MulSlot> mul;
+        std::vector<AddSlot> add;
+        std::vector<CtSlot> ct;
+    };
+    /** The calling thread's spare slots (empty when it has none). */
+    static SpareCaches &spareCaches();
 
     /** One stripe of the unique table: an open-addressing slot array
      *  plus the arena and free list for the nodes it owns. Padded so

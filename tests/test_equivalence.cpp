@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the QMDD equivalence checker: direct canonical
  * comparison, global phase, ancilla projection, node budgets,
- * cross-validation against the simulator, and the differential test
- * that holds check()'s projected miter to checkDirect()'s verdicts.
+ * cross-validation against the simulator, the miter's fused steps,
+ * and the differential test that holds check()'s projected miter to
+ * checkDirect()'s exact verdicts.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,9 @@
 #include "esop/cascade.hpp"
 #include "frontend/pla_parser.hpp"
 #include "ir/random_circuit.hpp"
+#include "obs/obs.hpp"
 #include "qmdd/equivalence.hpp"
+#include "service/json.hpp"
 #include "sim/statevector.hpp"
 #include "verdict_differential.hpp"
 
@@ -248,6 +251,162 @@ TEST(Equivalence, QuickRefuteRespectsAncillaPinning)
 }
 
 // ---------------------------------------------------------------------
+// Fused miter steps: check() multiplies each run of gates on at most
+// three wires into one block before the block meets the product.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** check()'s verdict and the fused steps its `qmdd.miter` span
+ *  reports for the reference (a) and the candidate (b). */
+struct MiterRun
+{
+    Equivalence verdict = Equivalence::Inconclusive;
+    double stepsA = -1;
+    double stepsB = -1;
+};
+
+MiterRun
+tracedCheck(dd::Package &pkg, const Circuit &a, const Circuit &b,
+            const EquivalenceOptions &opts = {})
+{
+    obs::ScopedSink sink;
+    MiterRun run;
+    run.verdict = EquivalenceChecker(pkg).check(a, b, opts);
+    for (const obs::TraceEvent &ev : sink->events()) {
+        if (ev.name != "qmdd.miter")
+            continue;
+        service::Json args;
+        std::string error;
+        EXPECT_TRUE(service::parseJson("{" + ev.argsJson + "}", &args,
+                                       &error))
+            << error;
+        run.stepsA = args.at("steps_a").number;
+        run.stepsB = args.at("steps_b").number;
+    }
+    return run;
+}
+
+/** Nielsen & Chuang's Clifford+T Toffoli on wires 0, 1 (controls)
+ *  and 2 (target): 15 gates on three wires. */
+Circuit
+cliffordTToffoli(Qubit width)
+{
+    Circuit c(width);
+    c.addH(2);
+    c.addCnot(1, 2);
+    c.addTdg(2);
+    c.addCnot(0, 2);
+    c.addT(2);
+    c.addCnot(1, 2);
+    c.addTdg(2);
+    c.addCnot(0, 2);
+    c.addT(1);
+    c.addT(2);
+    c.addH(2);
+    c.addCnot(0, 1);
+    c.addT(0);
+    c.addTdg(1);
+    c.addCnot(0, 1);
+    return c;
+}
+
+} // namespace
+
+TEST(EquivalenceFusedSteps, ThreeQubitPairIsOneBlockPerSide)
+{
+    Circuit ccx(3);
+    ccx.addCcx(0, 1, 2);
+    dd::Package pkg;
+    MiterRun run = tracedCheck(pkg, ccx, cliffordTToffoli(3));
+    EXPECT_EQ(run.verdict, Equivalence::Equivalent);
+    EXPECT_EQ(run.stepsA, 1.0);
+    EXPECT_EQ(run.stepsB, 1.0);
+
+    // One wrong gate inside the block is still refuted.
+    Circuit wrong = testutil::withGate(cliffordTToffoli(3), 8,
+                                       Gate::tdg(1));
+    EXPECT_EQ(tracedCheck(pkg, ccx, wrong).verdict,
+              Equivalence::NotEquivalent);
+}
+
+TEST(EquivalenceFusedSteps, FourControlMcxIsABlockOfItsOwn)
+{
+    // Runs: {H 0, CNOT 0 1} on two wires, the 5-wire MCX alone, then
+    // {T 4, CNOT 3 4}; the MCX ends the first run even though the
+    // first run has room for a third wire.
+    Circuit c(6);
+    c.addH(0);
+    c.addCnot(0, 1);
+    c.addMcx({0, 1, 2, 3}, 4);
+    c.addT(4);
+    c.addCnot(3, 4);
+    dd::Package pkg;
+    MiterRun run = tracedCheck(pkg, c, c);
+    EXPECT_EQ(run.verdict, Equivalence::Equivalent);
+    EXPECT_EQ(run.stepsA, 3.0);
+    EXPECT_EQ(run.stepsB, 3.0);
+
+    // An MCX with one control moved is refuted, as checkDirect does.
+    Circuit moved = testutil::withGate(c, 2, Gate::mcx({0, 1, 2, 5}, 4));
+    EXPECT_EQ(tracedCheck(pkg, c, moved).verdict,
+              Equivalence::NotEquivalent);
+    dd::Package direct_pkg;
+    EXPECT_EQ(EquivalenceChecker(direct_pkg).checkDirect(c, moved),
+              Equivalence::NotEquivalent);
+}
+
+TEST(EquivalenceFusedSteps, BarriersAreRefusedBeforeAnyStep)
+{
+    // A barrier is not a unitary gate, so check() refuses a circuit
+    // that holds one before the miter starts: the run scan's rule
+    // that a barrier neither counts toward the three wires nor ends
+    // a run is never reached through the public API.
+    Circuit plain = cliffordTToffoli(5);
+    Circuit fenced(5);
+    for (const Gate &g : plain) {
+        fenced.add(Gate::barrier({0, 1, 2, 3, 4}));
+        fenced.add(g);
+    }
+    dd::Package pkg;
+    EXPECT_THROW(EquivalenceChecker(pkg).check(plain, fenced), UserError);
+    EXPECT_THROW(EquivalenceChecker(pkg).check(fenced, plain), UserError);
+}
+
+TEST(EquivalenceFusedSteps, NodeBudgetIsCheckedAfterTheFirstBlock)
+{
+    Circuit ccx(3);
+    ccx.addCcx(0, 1, 2);
+    EquivalenceOptions opts;
+    opts.nodeBudget = 4;
+    dd::Package pkg;
+    MiterRun run = tracedCheck(pkg, ccx, cliffordTToffoli(3), opts);
+    EXPECT_EQ(run.verdict, Equivalence::Inconclusive);
+    // The candidate's block went first and already crossed the budget.
+    EXPECT_EQ(run.stepsB, 1.0);
+    EXPECT_EQ(run.stepsA, 0.0);
+}
+
+TEST(EquivalenceFusedSteps, ExpiredDeadlineStopsInsideABlock)
+{
+    // The whole 15-gate candidate is one block; the per-gate poll
+    // inside it still names the miter.
+    Circuit ccx(3);
+    ccx.addCcx(0, 1, 2);
+    dd::Package pkg;
+    deadline::Scope expired(deadline::Clock::now() -
+                            std::chrono::seconds(1));
+    try {
+        EquivalenceChecker(pkg).check(ccx, cliffordTToffoli(3));
+        ADD_FAILURE() << "no deadline error";
+    } catch (const DeadlineError &e) {
+        EXPECT_NE(std::string(e.what()).find("qmdd miter check"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// ---------------------------------------------------------------------
 // Differential verdicts: check() (the projected miter, with its
 // direct-build fallback) against checkDirect() (two full builds).
 // ---------------------------------------------------------------------
@@ -403,6 +562,35 @@ TEST(EquivalenceGc, QuickRefuteOnASharedPackageAcrossThreads)
             EXPECT_TRUE(dd::isEquivalent(v)) << dd::equivalenceName(v);
     }
     EXPECT_GT(pkg.stats().gcRuns, 0u);
+}
+
+TEST(EquivalenceFusedSteps, SweepsBetweenBlocksKeepEveryExactVerdict)
+{
+    // The differential pairs and their near misses again, with every
+    // miter on one package whose low trigger makes GC sweep between
+    // blocks: one fused check leaves too little garbage to cross even
+    // 1024 live nodes, so each starts on its predecessors' garbage.
+    dd::Package swept(lowGcTrigger());
+    for (const char *file : {"adder.pla", "clifford_t.qc",
+                             "mod5_cascade.real", "toffoli.qasm"}) {
+        for (Device dev : {makeIbmqx4(), makeIbmqx5()}) {
+            CompiledPair p = compiledPair(file, dev);
+            std::string what = std::string(file) + " on " + dev.name();
+            auto candidates = testutil::nearMisses(p.out, p.ancillas);
+            candidates.emplace_back("verified output", p.out);
+            EquivalenceOptions opts;
+            opts.ancillaWires = p.ancillas;
+            for (const auto &[name, cand] : candidates) {
+                Equivalence fused =
+                    EquivalenceChecker(swept).check(p.ref, cand, opts);
+                dd::Package direct_pkg;
+                EXPECT_EQ(fused, EquivalenceChecker(direct_pkg)
+                                     .checkDirect(p.ref, cand, opts))
+                    << what << ", " << name;
+            }
+        }
+    }
+    EXPECT_GT(swept.stats().gcRuns, 0u);
 }
 
 TEST(EquivalenceDeadline, ExpiredDeadlineStopsBothChecksAtTheirGatePolls)

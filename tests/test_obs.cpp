@@ -14,12 +14,19 @@
 #include <thread>
 #include <vector>
 
+#include "core/compiler.hpp"
+#include "device/registry.hpp"
+#include "frontend/loader.hpp"
 #include "obs/obs.hpp"
 #include "ir/circuit.hpp"
 #include "opt/pipeline.hpp"
 #include "qmdd/package.hpp"
 
 #include "service/json.hpp"
+
+#ifndef QSYN_DATA_DIR
+#error "QSYN_DATA_DIR must point at data/circuits"
+#endif
 
 using namespace qsyn;
 
@@ -394,4 +401,39 @@ TEST(ObsMetrics, OptimizerPublishesWindowMemoCounters)
     EXPECT_GT(windows, 0.0);
     EXPECT_GT(hits, 0.0);
     EXPECT_LE(hits, windows);
+}
+
+TEST(ObsSpan, MiterReportsFusedStepsPerSide)
+{
+    // qmdd.miter's steps_a / steps_b count fused steps; on a compiled
+    // output they must be fewer than the gates qmdd.equivalence_check
+    // reports, or the runs were not fused.
+    obs::ScopedSink sink;
+    Circuit input = frontend::loadCircuitFile(std::string(QSYN_DATA_DIR) +
+                                              "/toffoli.qasm");
+    CompileResult res = Compiler(makeIbmqx4()).compile(input);
+    ASSERT_TRUE(res.verified()) << dd::equivalenceName(res.verification);
+
+    Json trace;
+    std::string error;
+    ASSERT_TRUE(service::parseJson(sink->traceJson(), &trace, &error))
+        << error;
+    const Json *check = nullptr;
+    const Json *miter = nullptr;
+    for (const Json &ev : trace.at("traceEvents").array) {
+        if (ev.stringOr("name", "") == "qmdd.equivalence_check")
+            check = &ev.at("args");
+        else if (ev.stringOr("name", "") == "qmdd.miter")
+            miter = &ev.at("args");
+    }
+    ASSERT_NE(check, nullptr);
+    ASSERT_NE(miter, nullptr);
+    double gates_a = check->at("gates_a").number;
+    double gates_b = check->at("gates_b").number;
+    double steps_a = miter->at("steps_a").number;
+    double steps_b = miter->at("steps_b").number;
+    EXPECT_GT(steps_b, 0.0);
+    EXPECT_LT(steps_b, gates_b);
+    EXPECT_GT(steps_a, 0.0);
+    EXPECT_LE(steps_a, gates_a);
 }

@@ -283,10 +283,11 @@ TEST(Qmdd, StatsCountOperations)
 
 TEST(Qmdd, DefaultComputeCachesStaySmall)
 {
-    // compile() verifies on a fresh package, which allocates and zeroes
-    // a thread's caches on its first call: the default geometry is paid
-    // per compile, so it must stay within the 1 MiB per thread that
-    // PackageConfig and docs/performance.md budget.
+    // compile() verifies on a fresh package, which zeroes a thread's
+    // caches on its first call (allocating them unless an earlier
+    // package on the thread left its slots): the default geometry is
+    // paid per compile, so it must stay within the 1 MiB per thread
+    // that PackageConfig and docs/performance.md budget.
     Package pkg;
     EXPECT_EQ(pkg.computeCacheBytes(), 0u);
     Circuit c(2);
@@ -531,4 +532,32 @@ TEST(Qmdd, ComputeCachesAreNotStaleAfterGc)
     Edge fresh_e = fresh.buildCircuit(second);
     EXPECT_NEAR(pkg.maxMagnitude(e), fresh.maxMagnitude(fresh_e),
                 1e-12);
+}
+
+TEST(Qmdd, RecycledCacheSlotsStartEmpty)
+{
+    // A destroyed package leaves its thread's cache slots to the
+    // thread's next package. They are keyed by node addresses the next
+    // package may reuse, so it must find them empty: the same build
+    // then makes the same lookups and hits as the first, and gives the
+    // same matrix.
+    Rng rng(37);
+    RandomCircuitOptions opts;
+    opts.numQubits = 3;
+    opts.numGates = 16;
+    Circuit c = randomCircuit(rng, opts);
+    dd::PackageStats first_stats;
+    size_t first_bytes = 0;
+    {
+        Package first;
+        (void)first.buildCircuit(c);
+        first_stats = first.stats();
+        first_bytes = first.computeCacheBytes();
+    }
+    Package second;
+    Edge e = second.buildCircuit(c);
+    EXPECT_EQ(second.computeCacheBytes(), first_bytes);
+    EXPECT_EQ(second.stats().computeLookups, first_stats.computeLookups);
+    EXPECT_EQ(second.stats().computeHits, first_stats.computeHits);
+    expectMatchesDense(second, e, denseOf(c), 3);
 }
