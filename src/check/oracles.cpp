@@ -266,42 +266,29 @@ checkDeterminism(const Circuit &input, const Device &device,
     }
 
     // Batch invariance: the same inputs through the worker pool must
-    // emit the same bytes for every worker count — and for both the
-    // shared-QMDD-manager mode (the default) and fully private
-    // per-item packages.
+    // emit the same bytes for every worker count.
     std::vector<Circuit> copies = {input, input, input};
     std::string batch_baseline;
     for (size_t jobs : opts.determinismJobs) {
-        for (bool share : {true, false}) {
-            BatchCompiler batch(device, options);
-            batch.setShareManager(share);
-            std::vector<BatchItem> items =
-                batch.compileCircuits(copies, jobs);
-            std::string mode = " (share-manager " +
-                               std::string(share ? "on" : "off") + ")";
-            std::ostringstream concat;
-            bool failed = false;
-            for (const BatchItem &item : items) {
-                if (!item.ok) {
-                    out.passed = false;
-                    out.details = "batch item failed under --jobs " +
-                                  std::to_string(jobs) + mode + ": " +
-                                  item.error;
-                    failed = true;
-                    break;
-                }
-                concat << item.qasm;
-            }
-            if (failed)
-                return out;
-            if (batch_baseline.empty())
-                batch_baseline = concat.str();
-            else if (concat.str() != batch_baseline) {
+        BatchCompiler batch(device, options);
+        std::vector<BatchItem> items = batch.compileCircuits(copies, jobs);
+        std::ostringstream concat;
+        for (const BatchItem &item : items) {
+            if (!item.ok) {
                 out.passed = false;
-                out.details = "batch QASM differs under --jobs " +
-                              std::to_string(jobs) + mode;
+                out.details = "batch item failed under --jobs " +
+                              std::to_string(jobs) + ": " + item.error;
                 return out;
             }
+            concat << item.qasm;
+        }
+        if (batch_baseline.empty())
+            batch_baseline = concat.str();
+        else if (concat.str() != batch_baseline) {
+            out.passed = false;
+            out.details =
+                "batch QASM differs under --jobs " + std::to_string(jobs);
+            return out;
         }
     }
     return out;

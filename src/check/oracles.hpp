@@ -75,8 +75,7 @@ struct OracleOptions
     size_t qmddNodeBudget = 1u << 20;
     /** Extra sequential recompiles the determinism oracle performs. */
     size_t determinismRecompiles = 1;
-    /** Batch worker counts that must produce identical bytes (each is
-     *  run with the shared QMDD manager both on and off). */
+    /** Batch worker counts that must produce identical bytes. */
     std::vector<size_t> determinismJobs = {1, 4, 8};
     /** Run the (recompiling, comparatively expensive) determinism
      *  oracle as part of runAllOracles. */

@@ -99,10 +99,6 @@ parseCliArguments(const std::vector<std::string> &args)
             opts.outputPath = next_value(arg);
         } else if (arg == "-j" || arg == "--jobs") {
             opts.jobs = parseCountValue(arg, next_value(arg));
-        } else if (arg == "--share-manager") {
-            opts.shareManager = true;
-        } else if (arg == "--no-share-manager") {
-            opts.shareManager = false;
         } else if (arg == "--no-optimize") {
             opts.compile.optimize = false;
         } else if (arg == "--no-ti-optimize") {
@@ -280,9 +276,6 @@ cliHelpText()
         "  -o, --output <file>     write QASM here (default stdout)\n"
         "  -j, --jobs <n>           compile a multi-input batch on n\n"
         "                           worker threads (0 = one per core)\n"
-        "      --share-manager      batch workers verify against one\n"
-        "                           shared QMDD package (default)\n"
-        "      --no-share-manager   private QMDD package per circuit\n"
         "      --placement <p>      identity | greedy\n"
         "      --router <r>         ctr (paper reference) | sabre\n"
         "                           (DAG-lookahead, fewer SWAPs)\n"
@@ -450,7 +443,6 @@ runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
             // Batch mode: one Compiler per input on a worker pool,
             // results reported and emitted strictly in input order.
             BatchCompiler batch(device, options.compile);
-            batch.setShareManager(options.shareManager);
             batch.setJobDeadline(options.deadlineSeconds);
             batch.setCache(compile_cache.get());
             batch.setStatsInterval(options.statsIntervalSeconds,

@@ -27,10 +27,6 @@ struct CliOptions
     std::vector<std::string> inputs;
     /** Batch worker threads (1 = sequential, 0 = hardware threads). */
     size_t jobs = 1;
-    /** Share one concurrent QMDD package across batch workers'
-     *  verifications (--no-share-manager turns it off). Output bytes
-     *  are identical either way; sharing dedupes node universes. */
-    bool shareManager = true;
     /** Output QASM path; empty = stdout. */
     std::string outputPath;
     /** Built-in device name, or empty when deviceFile is used. */
@@ -88,7 +84,7 @@ struct CliOptions
     size_t cacheMaxMb = 256;
 
     /** Per-compile wall-time budget in seconds (--deadline; 0 = off).
-     *  Cooperative: polled at the per-gate QMDD safe point, so an
+     *  Cooperative: polled after every QMDD gate step, so an
      *  expired compile unwinds cleanly with a diagnosed error. */
     double deadlineSeconds = 0.0;
     /** Render --report with ReportOptions::deterministic(): no

@@ -2,17 +2,16 @@
  * @file
  * Cooperative per-thread wall-time deadlines.
  *
- * A compile is cancelled the same way it is garbage-collected: at
- * safe points it already polls. The deadline is a thread-local
- * steady_clock instant; hot loops call deadline::check() at the same
- * per-gate safe-point where they poll for a pending GC, and the check
- * throws DeadlineError once the instant has passed. Nothing is
+ * A compile is cancelled at points it already passes between gates.
+ * The deadline is a thread-local steady_clock instant; hot loops call
+ * deadline::check() after every gate, next to their GC check, and the
+ * check throws DeadlineError once the instant has passed. Nothing is
  * preempted — a gate application always completes — so invariants
- * (QMDD sessions, table locks) unwind through ordinary RAII.
+ * (a QMDD package's tables) unwind through ordinary RAII.
  *
- * The deadline is deliberately NOT part of CompileOptions: like the
- * verification package (Compiler::setVerifyPackage), it cannot change
- * the compiled output, so compile-cache fingerprints must not see it.
+ * The deadline is deliberately NOT part of CompileOptions: it cannot
+ * change the compiled output, so compile-cache fingerprints must not
+ * see it.
  * Install one with deadline::Scope around a compile; BatchCompiler
  * does this per item (setJobDeadline) and the qsynd service per
  * request.
@@ -39,7 +38,7 @@ bool active();
 bool expired();
 
 /**
- * Safe-point poll: throws DeadlineError when the armed deadline has
+ * The per-gate poll: throws DeadlineError when the armed deadline has
  * passed; a no-op otherwise (one thread-local load on the fast path).
  * `where` names the cancelled phase in the error message.
  */

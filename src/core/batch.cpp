@@ -110,13 +110,6 @@ BatchCompiler::run(size_t n, size_t jobs,
 
     std::vector<BatchItem> items(n);
 
-    // Shared-manager mode: every worker verifies against this one
-    // concurrent package, so a batch of similar circuits builds each
-    // distinct node once instead of once per worker.
-    std::unique_ptr<dd::Package> shared_pkg;
-    if (share_manager_ && options_.verify != VerifyMode::Off)
-        shared_pkg = std::make_unique<dd::Package>();
-
     // Periodic stats emitter (--stats-interval): progress to the log,
     // and a fresh Prometheus page when a path is configured. Runs only
     // for the duration of this batch; woken early on completion.
@@ -156,12 +149,9 @@ BatchCompiler::run(size_t n, size_t jobs,
             // Each item gets its own wall-time budget, measured from
             // the moment a worker picks it up (queue wait excluded).
             deadline::Scope item_deadline(jobDeadlineSeconds_);
-            // One Compiler per item; only the verification package is
-            // (optionally) shared across workers.
+            // One Compiler per item.
             Circuit input = load(i);
             Compiler compiler(device_, options_);
-            if (shared_pkg != nullptr)
-                compiler.setVerifyPackage(shared_pkg.get());
             if (cache_ != nullptr) {
                 std::shared_ptr<const CachedCompile> cached =
                     cache_->getOrCompute(input, device_, options_, [&] {
@@ -256,7 +246,6 @@ BatchCompiler::publishMetrics(const char *prefix) const
                static_cast<double>(summary_.succeeded));
     m.setGauge(p + ".failed", static_cast<double>(summary_.failed));
     m.setGauge(p + ".jobs", static_cast<double>(summary_.jobs));
-    m.setGauge(p + ".share_manager", share_manager_ ? 1.0 : 0.0);
     m.setGauge(p + ".wall_seconds", summary_.wallSeconds);
     m.setGauge(p + ".sum_seconds", summary_.sumSeconds);
     m.setGauge(p + ".gates_out",

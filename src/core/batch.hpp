@@ -4,16 +4,13 @@
  * concurrently on a worker pool.
  *
  * The unit of parallelism is one whole compile: each worker owns its
- * own Compiler and workers claim items from a shared queue. By default
- * every worker verifies against ONE shared dd::Package (the package is
- * concurrent: sharded unique table, per-thread compute caches,
- * safe-point GC — see qmdd/package.hpp), so similar circuits in a
- * batch share their node universes instead of rebuilding them N times;
- * setShareManager(false) restores a private package per item. Results
- * are stored by input index, so output order — and therefore every
- * byte the CLI emits — is identical no matter how many workers ran or
- * how they interleaved. Surfaced as `--jobs N` and
- * `--share-manager/--no-share-manager` on qsync and qverify.
+ * own Compiler and workers claim items from a shared queue. Each
+ * compile verifies on a QMDD package of its own, which the worker
+ * creates and destroys (see qmdd/package.hpp), so workers share no
+ * QMDD state. Results are stored by input index, so output order — and
+ * therefore every byte the CLI emits — is identical no matter how many
+ * workers ran or how they interleaved. Surfaced as `--jobs N` on qsync
+ * and qverify.
  */
 
 #pragma once
@@ -118,22 +115,10 @@ class BatchCompiler
     CompileCacheBase *cache() const { return cache_; }
 
     /**
-     * Share one QMDD package across all workers' verifications
-     * (default ON). Similar circuits dedupe their node universes —
-     * lower aggregate peak_nodes, warmer unique table — at the cost of
-     * per-shard locking. OFF gives each item a private package (the
-     * old fully-isolated behavior). Either way the compiled QASM is
-     * byte-identical: the pipeline never consults the package, and
-     * verification only yields a verdict.
-     */
-    void setShareManager(bool on) { share_manager_ = on; }
-    bool shareManager() const { return share_manager_; }
-
-    /**
      * Cancel any single item that runs longer than `seconds` of wall
      * time (<= 0 disables, the default). Cancellation is cooperative:
-     * the compile pipeline polls at the same per-gate safe point as
-     * GC (see common/deadline.hpp), so a runaway item unwinds cleanly
+     * the compile pipeline polls after every gate, next to its GC
+     * check (see common/deadline.hpp), so a runaway item unwinds cleanly
      * and records `timedOut` while the rest of the batch keeps
      * running. This is the mechanism behind the qsynd service's
      * per-request wall-time limit and `qsync --deadline`.
@@ -172,7 +157,6 @@ class BatchCompiler
     Device device_;
     CompileOptions options_;
     CompileCacheBase *cache_ = nullptr;
-    bool share_manager_ = true;
     double jobDeadlineSeconds_ = 0.0;
     double statsIntervalSeconds_ = 0.0;
     std::string statsPromPath_;

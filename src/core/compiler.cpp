@@ -13,30 +13,6 @@ namespace qsyn {
 
 namespace {
 
-/** Attribution of a shared package's counters to one compile: the
- *  difference of two threadStats() snapshots taken around its
- *  verification. All counters are monotonic; peakNodes is a global
- *  high-water mark (not additive), so the later snapshot's value is
- *  reported as-is. */
-dd::PackageStats
-diffStats(const dd::PackageStats &after, const dd::PackageStats &before)
-{
-    dd::PackageStats d;
-    d.uniqueLookups = after.uniqueLookups - before.uniqueLookups;
-    d.uniqueHits = after.uniqueHits - before.uniqueHits;
-    d.uniqueRehashes = after.uniqueRehashes - before.uniqueRehashes;
-    d.multiplies = after.multiplies - before.multiplies;
-    d.additions = after.additions - before.additions;
-    d.computeLookups = after.computeLookups - before.computeLookups;
-    d.computeHits = after.computeHits - before.computeHits;
-    d.mulEvictions = after.mulEvictions - before.mulEvictions;
-    d.addEvictions = after.addEvictions - before.addEvictions;
-    d.ctEvictions = after.ctEvictions - before.ctEvictions;
-    d.gcRuns = after.gcRuns - before.gcRuns;
-    d.peakNodes = after.peakNodes;
-    return d;
-}
-
 /** The `compile.verify.*` counter a verdict increments, so a metrics
  *  snapshot shows how often each path decided. */
 const char *
@@ -126,7 +102,7 @@ Compiler::compile(const Circuit &input) const
 
     // 2. Place logical wires on physical qubits. Stage boundaries are
     //    coarse cancellation polls; the fine-grained per-gate poll
-    //    lives at the QMDD safe point (verification dominates
+    //    lives in the QMDD gate loops (verification dominates
     //    runaway compiles) and in the optimizer's round loop.
     deadline::check("placement");
     {
@@ -185,32 +161,21 @@ Compiler::compile(const Circuit &input) const
         if (options_.verify != VerifyMode::Off && input.isUnitary()) {
             Circuit reference =
                 result.referenceOnDevice(device_.numQubits());
-            // Shared-manager mode: verify against the externally owned
-            // (concurrent) package; otherwise a private one per compile.
-            std::unique_ptr<dd::Package> owned;
-            dd::Package *package = verify_package_;
-            const bool shared = package != nullptr;
-            if (!shared) {
-                owned = std::make_unique<dd::Package>();
-                package = owned.get();
-            }
-            dd::EquivalenceChecker checker(*package);
+            // Each compile verifies on a package of its own, created
+            // and destroyed on this thread.
+            dd::Package package;
+            dd::EquivalenceChecker checker(package);
             dd::EquivalenceOptions eopts;
             eopts.upToGlobalPhase = options_.verifyUpToGlobalPhase;
             eopts.ancillaWires = result.ancillas;
             eopts.nodeBudget = options_.verifyNodeBudget;
-            dd::PackageStats before;
-            if (shared)
-                before = package->threadStats();
             result.verification =
                 checker.check(reference, result.optimized, eopts);
             result.verifyRan = true;
-            result.ddStats =
-                shared ? diffStats(package->threadStats(), before)
-                       : package->stats();
-            result.ddLiveNodes = package->activeNodes();
-            ddArenaBytes = package->arenaBytes();
-            package->publishMetrics();
+            result.ddStats = package.stats();
+            result.ddLiveNodes = package.activeNodes();
+            ddArenaBytes = package.arenaBytes();
+            package.publishMetrics();
             span.arg("verdict",
                      dd::equivalenceName(result.verification));
             span.arg("live_nodes", result.ddLiveNodes);

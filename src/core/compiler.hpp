@@ -7,7 +7,9 @@
  * Pipeline: decompose (Barenco MCX networks + 15-gate Toffoli) ->
  * place -> CTR route (direction fixes + shortest-SWAP-path reroutes) ->
  * cost-driven local optimization -> QMDD equivalence check against the
- * input.
+ * input. The check runs on a QMDD package of its own, created and
+ * destroyed on the calling thread, so compile() may run on many
+ * threads at once.
  */
 
 #pragma once
@@ -190,26 +192,9 @@ class Compiler
     std::shared_ptr<const CachedCompile>
     compileCached(const Circuit &input, CompileCacheBase *cache) const;
 
-    /**
-     * Verify against an externally owned QMDD package instead of a
-     * fresh per-compile one. The package may be shared by many
-     * compilers on many threads at once (dd::Package is concurrent);
-     * BatchCompiler uses this so similar circuits in one batch dedupe
-     * their node universes. The result's ddStats then cover only this
-     * compile's own table traffic (per-thread attribution), except
-     * peakNodes, which reports the shared package's global high-water.
-     * Deliberately NOT part of CompileOptions: where the package lives
-     * cannot change the output, so cache fingerprints are unaffected.
-     * Null (the default) restores the private per-compile package. The
-     * package is not owned and must outlive every compile().
-     */
-    void setVerifyPackage(dd::Package *pkg) { verify_package_ = pkg; }
-    dd::Package *verifyPackage() const { return verify_package_; }
-
   private:
     Device device_;
     CompileOptions options_;
-    dd::Package *verify_package_ = nullptr;
 };
 
 } // namespace qsyn

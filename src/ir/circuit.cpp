@@ -105,8 +105,11 @@ Circuit::inverse() const
 bool
 Circuit::isUnitary() const
 {
-    return std::all_of(gates_.begin(), gates_.end(),
-                       [](const Gate &g) { return g.isUnitary(); });
+    // A barrier only fences the scheduler; as a matrix it is the
+    // identity.
+    return std::all_of(gates_.begin(), gates_.end(), [](const Gate &g) {
+        return g.isUnitary() || g.kind() == GateKind::Barrier;
+    });
 }
 
 bool

@@ -82,7 +82,8 @@ class Circuit
     /** The adjoint circuit: reversed order, each gate inverted. */
     Circuit inverse() const;
 
-    /** True when every gate is unitary (no measurements / barriers). */
+    /** True when the circuit holds no measurement: every gate is
+     *  unitary or a barrier, which acts as the identity. */
     bool isUnitary() const;
 
     /** True when all gates only use {X/CNOT/CCX/MCX} (NCT cascade). */

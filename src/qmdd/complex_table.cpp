@@ -10,19 +10,17 @@ namespace {
  *  adjacent bucket, so the width must exceed 2 * kWeightEps. */
 constexpr double kBucketWidth = 4 * kWeightEps;
 
-/** Bucket-array size. Fixed (lock-free readers cannot tolerate a
- *  resize); grid keys that collide simply share a chain, and the
- *  tolerance match filters them. 16k slots keep chains at ~1 entry for
- *  typical workloads (a few thousand distinct weights). */
+/** Bucket-array size. Fixed: grid keys that collide simply share a
+ *  chain, and the tolerance match filters them. 16k slots keep chains
+ *  at ~1 entry for typical workloads (a few thousand distinct
+ *  weights). */
 constexpr size_t kBucketSlots = size_t{1} << 14;
 
 } // namespace
 
 ComplexTable::ComplexTable()
-    : buckets_(kBucketSlots), bucket_mask_(kBucketSlots - 1)
+    : buckets_(kBucketSlots, nullptr), bucket_mask_(kBucketSlots - 1)
 {
-    for (std::atomic<const Entry *> &head : buckets_)
-        head.store(nullptr, std::memory_order_relaxed);
     // Intern the hot set through the slow path (hot_ is still empty),
     // then register the entries for the inline fast scan. Order is by
     // observed lookup frequency: normalization produces 1, pruned
@@ -68,9 +66,8 @@ ComplexTable::slotOf(BucketKey key) const
 const Cplx *
 ComplexTable::findInBucket(BucketKey key, const Cplx &value) const
 {
-    const Entry *e =
-        buckets_[slotOf(key)].load(std::memory_order_acquire);
-    for (; e != nullptr; e = e->next) {
+    for (const Entry *e = buckets_[slotOf(key)]; e != nullptr;
+         e = e->next) {
         if (approxEqual(e->value, value, kWeightEps))
             return &e->value;
     }
@@ -114,29 +111,12 @@ ComplexTable::lookupSlow(const Cplx &value)
         }
     }
 
-    // First sighting of this value: serialize the insert and re-probe
-    // under the lock so a racing thread that interned the same (or an
-    // eps-adjacent) value moments ago wins — one representative per
-    // neighborhood, no matter the interleaving.
-    std::lock_guard<std::mutex> lock(insert_mu_);
-    slow_inserts_.fetch_add(1, std::memory_order_relaxed);
-    for (int r = 0; r < nr; ++r) {
-        for (int i = 0; i < ni; ++i) {
-            if (const Cplx *hit = findInBucket(
-                    keyOf(gr + drs[r], gi + dis[i]), value)) {
-                return hit;
-            }
-        }
-    }
-    entries_.push_back(Entry{value, nullptr});
-    Entry *inserted = &entries_.back();
-    std::atomic<const Entry *> &head = buckets_[slotOf(keyOf(gr, gi))];
-    inserted->next = head.load(std::memory_order_relaxed);
-    // Publish: entry fields are complete before the release store, so
-    // a lock-free reader that sees the new head sees a whole entry.
-    head.store(inserted, std::memory_order_release);
-    size_.fetch_add(1, std::memory_order_relaxed);
-    return &inserted->value;
+    // First sighting of this value: it becomes the representative of
+    // its neighborhood.
+    const Entry *&head = buckets_[slotOf(keyOf(gr, gi))];
+    entries_.push_back(Entry{value, head});
+    head = &entries_.back();
+    return &head->value;
 }
 
 } // namespace qsyn::dd

@@ -10,21 +10,16 @@
  * prevents floating-point drift from accumulating across long gate
  * products: each product step re-snaps onto canonical values.
  *
- * Thread safety (the shared-manager batch mode): probes are lock-free
- * — buckets are fixed-size atomic heads of append-only chains of
- * immutable entries — and only *first-time interning* of a new value
- * serializes on one insert mutex, under which the probe is repeated so
- * two racing threads can never create two representatives for the same
- * (or eps-adjacent) value. After warm-up the insert rate decays to
- * ~zero, so the hot path never touches a lock.
+ * Interning is first come: a value within kWeightEps of an entry maps
+ * onto that entry, and only a value with no such neighbor becomes a
+ * new representative. The table belongs to one Package and, like it,
+ * to one thread.
  */
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <vector>
 
 #include "common/types.hpp"
@@ -46,7 +41,6 @@ class ComplexTable
     /**
      * Canonical pointer for `value`. Returns an existing entry when one
      * lies within kWeightEps (componentwise), otherwise inserts.
-     * Safe to call from any number of threads concurrently.
      *
      * Hot constants (0, 1, ±1/√2, and the eighth-roots-of-unity phases
      * that T/S/H products cycle through) are pre-interned and matched
@@ -73,15 +67,7 @@ class ComplexTable
     const Cplx *sqrt1_2() const { return sqrt1_2_; }
 
     /** Number of distinct values interned so far. */
-    size_t size() const { return size_.load(std::memory_order_relaxed); }
-
-    /** Probes that had to take the insert lock (a new value, or a
-     *  concurrent insert race); `insert_mu_` contention source. */
-    size_t
-    slowInserts() const
-    {
-        return slow_inserts_.load(std::memory_order_relaxed);
-    }
+    size_t size() const { return entries_.size(); }
 
   private:
     using BucketKey = std::uint64_t;
@@ -93,9 +79,8 @@ class ComplexTable
         const Cplx *entry;
     };
 
-    /** One interned value in a bucket chain. `value` and `next` are
-     *  written before the chain head publishes the entry (release
-     *  store) and never change afterwards. */
+    /** One interned value in a bucket chain; never changes once
+     *  inserted. */
     struct Entry
     {
         Cplx value;
@@ -110,24 +95,19 @@ class ComplexTable
 
     static BucketKey keyOf(std::int64_t gr, std::int64_t gi);
 
-    /** Lock-free scan of the chain holding grid key `key`. Chains are
-     *  shared across grid keys that collide on the table index, so
-     *  matching is by value tolerance, never by key. */
+    /** Scan of the chain holding grid key `key`. Chains are shared
+     *  across grid keys that collide on the table index, so matching
+     *  is by value tolerance, never by key. */
     const Cplx *findInBucket(BucketKey key, const Cplx &value) const;
 
     /** Table slot of a grid key. */
     size_t slotOf(BucketKey key) const;
 
-    /** Entry storage; deque keeps pointers stable across growth.
-     *  Guarded by insert_mu_. */
+    /** Entry storage; deque keeps pointers stable across growth. */
     std::deque<Entry> entries_;
-    /** Fixed-size bucket array: atomic heads of immutable chains.
-     *  Readers traverse with acquire loads and never lock. */
-    std::vector<std::atomic<const Entry *>> buckets_;
+    /** Fixed-size bucket array: heads of the entry chains. */
+    std::vector<const Entry *> buckets_;
     size_t bucket_mask_;
-    std::mutex insert_mu_;
-    std::atomic<size_t> size_{0};
-    std::atomic<size_t> slow_inserts_{0};
     const Cplx *zero_;
     const Cplx *one_;
     const Cplx *sqrt1_2_;

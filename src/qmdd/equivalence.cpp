@@ -36,23 +36,21 @@ EquivalenceChecker::buildOnto(const Circuit &circuit, Edge start,
                               const std::vector<Edge> &extra_roots)
 {
     Edge e = start;
+    // The GC roots: the caller's edges, the start and (last) e.
+    std::vector<Edge> roots = extra_roots;
+    roots.push_back(start);
+    roots.push_back(e);
     for (const Gate &g : circuit) {
         if (g.kind() == GateKind::Barrier)
             continue;
         QSYN_ASSERT(g.isUnitary(),
                     "equivalence checking requires unitary circuits");
         e = pkg_.multiply(pkg_.gateDD(g), e);
-        // The per-gate safe point doubles as the cancellation poll:
-        // a runaway verification dies here, with all invariants intact.
+        // The per-gate poll: a runaway verification dies here, with
+        // all invariants intact.
         deadline::check("qmdd equivalence check");
-        if (pkg_.activeNodes() > pkg_.gcThreshold())
-            pkg_.requestGc();
-        if (pkg_.gcPending()) {
-            std::vector<Edge> roots = extra_roots;
-            roots.push_back(e);
-            roots.push_back(start);
-            pkg_.safePoint(roots);
-        }
+        roots.back() = e;
+        pkg_.collectGarbageIfDue(roots);
         if (budget != 0 && pkg_.activeNodes() > budget)
             return false;
     }
@@ -190,10 +188,7 @@ EquivalenceChecker::checkMiter(const Circuit &a, const Circuit &b,
             m = pkg_.multiply(m, fusedBlock(pkg_, a, &ia, true));
             ++steps_a;
         }
-        if (pkg_.activeNodes() > pkg_.gcThreshold())
-            pkg_.requestGc();
-        if (pkg_.gcPending())
-            pkg_.safePoint({m, p});
+        pkg_.collectGarbageIfDue(std::array{m, p});
         over_budget =
             opts.nodeBudget != 0 && pkg_.activeNodes() > opts.nodeBudget;
     }
@@ -253,7 +248,7 @@ quickRefute(Package &pkg, const Circuit &a, const Circuit &b,
         Edge input = engine.applyCircuit(prep,
                                          engine.makeBasisState(0, width));
         // Each run keeps what the next steps still read alive through
-        // its GC safe points.
+        // its GC sweeps.
         Edge out_a = engine.applyCircuit(a, input, {input});
         Edge out_b = engine.applyCircuit(b, input, {out_a});
         double overlap = std::abs(engine.innerProduct(
@@ -306,12 +301,6 @@ EquivalenceChecker::decide(const Circuit &a, const Circuit &b,
     obs::Span span("qmdd.equivalence_check");
     span.arg("gates_a", static_cast<double>(a.size()));
     span.arg("gates_b", static_cast<double>(b.size()));
-    // Hold a mutator session for the whole check so edges that span
-    // phases (the projector, ea while eb builds, the compare
-    // temporaries) can never be swept by a GC another worker triggers
-    // on a shared package; sessions nest, so the inner safe points
-    // still park.
-    Package::Session session(pkg_);
     if (opts.quickRefuteSamples > 0) {
         obs::Span refute_span("qmdd.quick_refute");
         if (quickRefute(pkg_, a, b, opts, opts.quickRefuteSamples))

@@ -10,25 +10,25 @@ namespace qsyn::dd {
 
 namespace {
 
-/** Unique-table resize trigger: a shard grows when its live nodes
+/** Unique-table resize trigger: the table grows when its live nodes
  *  would exceed this percentage of its slot count. Linear probing
  *  stays short well below 70%, and growing at a fixed fraction keeps
  *  inserts amortized O(1). */
 constexpr size_t kMaxLoadPercent = 65;
 
-/** The GC sweep halves a shard when survivors use less than
- *  1/kShrinkDivisor of its slots, so a long-lived worker that saw one
- *  huge circuit does not pin a huge table forever. */
+/** The GC sweep halves the table when survivors use less than
+ *  1/kShrinkDivisor of its slots, so a check that passed one huge
+ *  intermediate product does not keep a huge table to its end. */
 constexpr size_t kShrinkDivisor = 8;
 
 /** Floor for setGcThreshold / the GC shrink path: below this the
  *  collector would run every few gates and thrash. */
 constexpr size_t kMinGcThreshold = 1024;
 
-/** Per-shard slot floor. Deliberately small so tiny configured
- *  capacities (tests use 16-64 total slots to force rehashing) still
- *  exercise the growth path even when spread across many shards. */
-constexpr size_t kMinShardSlots = 16;
+/** Unique-table slot floor. Deliberately small so tiny configured
+ *  capacities (tests use 16-64 slots to force rehashing) still
+ *  exercise the growth path. */
+constexpr size_t kMinUniqueSlots = 64;
 
 size_t
 nextPowerOfTwo(size_t v)
@@ -59,10 +59,6 @@ hashEdge(const Edge &e)
     return hashCombine(hashPtr(e.node), hashPtr(e.weight));
 }
 
-/** Serial source for the thread-local context lookup. Starts at 1 so
- *  a zero-initialized thread-local cache can never match. */
-std::atomic<std::uint64_t> g_package_serial{1};
-
 } // namespace
 
 size_t
@@ -79,23 +75,34 @@ Package::Package() : Package(PackageConfig{})
 }
 
 Package::Package(const PackageConfig &config)
-    : serial_(g_package_serial.fetch_add(1, std::memory_order_relaxed)),
-      gc_threshold_(std::max(config.gcThreshold, kMinGcThreshold)),
-      min_gc_threshold_(
-          std::max(config.gcThreshold, kMinGcThreshold))
+    : gc_threshold_(std::max(config.gcThreshold, kMinGcThreshold)),
+      min_gc_threshold_(gc_threshold_)
 {
     terminal_.var = kTerminalVar;
-    // Split the configured capacity evenly across shards, with a small
-    // per-shard floor. Tiny totals (test configs) end up below the old
-    // single-table floor of 64 on purpose: growth still triggers.
-    size_t per_shard = nextPowerOfTwo(std::max(
-        config.initialUniqueCapacity / kUniqueShards, kMinShardSlots));
-    for (size_t i = 0; i < kUniqueShards; ++i) {
-        shards_.emplace_back();
-        UniqueShard &s = shards_.back();
-        s.slots.assign(per_shard, nullptr);
-        s.mask = per_shard - 1;
-        s.minCapacity = per_shard;
+    // Take the slot arrays an earlier package on this thread left
+    // behind. They are keyed by its node addresses, which this package
+    // may reuse, so they start empty.
+    SpareCaches &spare = spareCaches();
+    min_capacity_ = nextPowerOfTwo(
+        std::max(config.initialUniqueCapacity, kMinUniqueSlots));
+    if (spare.unique.size() == min_capacity_) {
+        slots_ = std::move(spare.unique);
+        std::fill(slots_.begin(), slots_.end(), nullptr);
+    } else {
+        slots_.assign(min_capacity_, nullptr);
+    }
+    mask_ = min_capacity_ - 1;
+    if (spare.mul.empty()) {
+        mul_cache_.resize(2 * kMulCacheSets);
+        add_cache_.resize(2 * kAddCacheSets);
+        ct_cache_.resize(2 * kCtCacheSets);
+    } else {
+        mul_cache_ = std::move(spare.mul);
+        add_cache_ = std::move(spare.add);
+        ct_cache_ = std::move(spare.ct);
+        std::fill(mul_cache_.begin(), mul_cache_.end(), MulSlot{});
+        std::fill(add_cache_.begin(), add_cache_.end(), AddSlot{});
+        std::fill(ct_cache_.begin(), ct_cache_.end(), CtSlot{});
     }
 }
 
@@ -108,99 +115,19 @@ Package::spareCaches()
 
 Package::~Package()
 {
-    // Leave this thread's cache slots to its next package. compile()
-    // verifies on a fresh package; freeing ~500 KiB after every compile
+    // Leave the slot arrays to this thread's next package. compile()
+    // verifies on a fresh package; freeing ~1 MiB after every compile
     // let glibc trim the top of the heap and fault it back in on the
     // next one, or not, depending on what happened to sit above it
     // (docs/performance.md).
     SpareCaches &spare = spareCaches();
-    const std::thread::id self = std::this_thread::get_id();
-    for (const auto &c : contexts_) {
-        if (c->owner == self && spare.mul.empty()) {
-            spare.mul = std::move(c->mul_cache);
-            spare.add = std::move(c->add_cache);
-            spare.ct = std::move(c->ct_cache);
-        }
-    }
-}
-
-Package::WorkerContext *
-Package::context() const
-{
-    // One compare on the hot path: every public entry point resolves
-    // the calling thread's context through this cache.
-    thread_local std::uint64_t cached_serial = 0;
-    thread_local WorkerContext *cached_ctx = nullptr;
-    if (cached_serial == serial_)
-        return cached_ctx;
-    WorkerContext *ctx = contextSlow();
-    cached_serial = serial_;
-    cached_ctx = ctx;
-    return ctx;
-}
-
-Package::WorkerContext *
-Package::contextSlow() const
-{
-    // Reached when a thread switches packages. The contexts live in the
-    // package, so nothing outlives it on the thread's side. A thread id
-    // reused after a join adopts its predecessor's context; the join
-    // orders the two threads' accesses.
-    const std::thread::id self = std::this_thread::get_id();
-    {
-        std::lock_guard<std::mutex> lock(ctx_mu_);
-        for (const auto &c : contexts_) {
-            if (c->owner == self)
-                return c.get();
-        }
-    }
-    // Only this thread creates a context with its own id, so nobody can
-    // add one between the scan and the insert.
-    auto owned = std::make_unique<WorkerContext>();
-    owned->owner = self;
-    SpareCaches &spare = spareCaches();
     if (spare.mul.empty()) {
-        owned->mul_cache.resize(2 * kMulCacheSets);
-        owned->add_cache.resize(2 * kAddCacheSets);
-        owned->ct_cache.resize(2 * kCtCacheSets);
-    } else {
-        // An earlier package's slots: keyed by its node addresses,
-        // which this package may reuse, so they start empty.
-        owned->mul_cache = std::move(spare.mul);
-        owned->add_cache = std::move(spare.add);
-        owned->ct_cache = std::move(spare.ct);
-        std::fill(owned->mul_cache.begin(), owned->mul_cache.end(),
-                  MulSlot{});
-        std::fill(owned->add_cache.begin(), owned->add_cache.end(),
-                  AddSlot{});
-        std::fill(owned->ct_cache.begin(), owned->ct_cache.end(),
-                  CtSlot{});
+        spare.mul = std::move(mul_cache_);
+        spare.add = std::move(add_cache_);
+        spare.ct = std::move(ct_cache_);
     }
-    WorkerContext *ctx = owned.get();
-    std::lock_guard<std::mutex> lock(ctx_mu_);
-    contexts_.push_back(std::move(owned));
-    return ctx;
-}
-
-Package::UniqueShard &
-Package::shardOf(size_t hash)
-{
-    // Slot probing consumes the low hash bits (shard.mask), so the
-    // shard index comes from the high half: the two selections stay
-    // uncorrelated.
-    return shards_[(hash >> 32) & (kUniqueShards - 1)];
-}
-
-void
-Package::lockShard(UniqueShard &shard)
-{
-    if (shard.mu.try_lock()) {
-        ++shard.lockAcquisitions;
-        return;
-    }
-    shard.mu.lock();
-    ++shard.lockAcquisitions;
-    ++shard.lockContended;
+    if (spare.unique.empty() && slots_.size() == min_capacity_)
+        spare.unique = std::move(slots_);
 }
 
 Edge
@@ -223,43 +150,26 @@ Package::terminalEdge(const Cplx &w)
 }
 
 Node *
-Package::allocNode(UniqueShard &shard)
+Package::allocNode()
 {
-    auto pop = [this](UniqueShard &s) {
-        Node *n = s.freeList;
-        s.freeList = n->next;
-        --s.freeCount;
-        free_total_.fetch_sub(1, std::memory_order_relaxed);
-        n->next = nullptr;
-        n->mark = 0;
-        return n;
-    };
-    if (shard.freeList != nullptr)
-        return pop(shard);
-    // A rebuild after GC hashes the same logical nodes to different
-    // shards (hashes mix recycled pointers), so one shard's free list
-    // can run dry while a sibling's is full. Steal before growing the
-    // arena; try_lock keeps it deadlock-free (we hold `shard.mu`), and
-    // the global counter makes the scan free while no node is free.
-    if (free_total_.load(std::memory_order_relaxed) > 0) {
-        for (UniqueShard &other : shards_) {
-            if (&other == &shard || !other.mu.try_lock())
-                continue;
-            std::lock_guard<std::mutex> guard(other.mu, std::adopt_lock);
-            if (other.freeList != nullptr)
-                return pop(other);
-        }
+    if (free_list_ == nullptr) {
+        arena_.emplace_back();
+        return &arena_.back();
     }
-    shard.arena.emplace_back();
-    return &shard.arena.back();
+    Node *n = free_list_;
+    free_list_ = n->next;
+    --free_count_;
+    n->next = nullptr;
+    n->mark = 0;
+    return n;
 }
 
 void
-Package::rehashShard(UniqueShard &shard, size_t capacity)
+Package::rehash(size_t capacity)
 {
     std::vector<Node *> slots(capacity, nullptr);
     size_t mask = capacity - 1;
-    for (Node *n : shard.slots) {
+    for (Node *n : slots_) {
         if (n == nullptr)
             continue;
         size_t idx = n->hash & mask;
@@ -267,19 +177,12 @@ Package::rehashShard(UniqueShard &shard, size_t capacity)
             idx = (idx + 1) & mask;
         slots[idx] = n;
     }
-    shard.slots = std::move(slots);
-    shard.mask = mask;
+    slots_ = std::move(slots);
+    mask_ = mask;
 }
 
 Edge
 Package::makeNode(std::int32_t var, const std::array<Edge, 4> &edges)
-{
-    return makeNodeImpl(*context(), var, edges);
-}
-
-Edge
-Package::makeNodeImpl(WorkerContext &ctx, std::int32_t var,
-                      const std::array<Edge, 4> &edges)
 {
     std::array<Edge, 4> e = edges;
     // Zero-edge canonicalization: weight zero always points at terminal.
@@ -340,39 +243,30 @@ Package::makeNodeImpl(WorkerContext &ctx, std::int32_t var,
         }
     }
 
-    ctx.stats.bump(ctx.stats.uniqueLookups);
+    ++stats_.uniqueLookups;
     size_t h = hashNode(var, e);
-    UniqueShard &shard = shardOf(h);
-    lockShard(shard);
-    std::lock_guard<std::mutex> guard(shard.mu, std::adopt_lock);
-
     // Grow before probing so the insert position below stays valid.
-    if ((shard.size + 1) * 100 > shard.slots.size() * kMaxLoadPercent) {
-        rehashShard(shard, shard.slots.size() * 2);
-        ++shard.rehashes;
+    if ((live_ + 1) * 100 > slots_.size() * kMaxLoadPercent) {
+        rehash(slots_.size() * 2);
+        ++stats_.uniqueRehashes;
     }
-    size_t idx = h & shard.mask;
-    while (Node *n = shard.slots[idx]) {
+    size_t idx = h & mask_;
+    while (Node *n = slots_[idx]) {
         if (n->hash == h && n->var == var && n->e == e) {
-            ctx.stats.bump(ctx.stats.uniqueHits);
+            ++stats_.uniqueHits;
             return Edge{n, norm_ptr};
         }
-        idx = (idx + 1) & shard.mask;
+        idx = (idx + 1) & mask_;
     }
-    Node *n = allocNode(shard);
+    Node *n = allocNode();
     n->var = var;
     n->e = e;
     n->hash = h;
-    shard.slots[idx] = n;
-    ++shard.size;
+    slots_[idx] = n;
     // Peak is a *live*-node high-water mark: tracked here (the only
     // place the live count grows) so unique-table hits and free-list
     // recycling cannot inflate it.
-    size_t live = live_nodes_.fetch_add(1, std::memory_order_relaxed) + 1;
-    size_t peak = peak_nodes_.load(std::memory_order_relaxed);
-    while (peak < live && !peak_nodes_.compare_exchange_weak(
-                              peak, live, std::memory_order_relaxed)) {
-    }
+    stats_.peakNodes = std::max(stats_.peakNodes, ++live_);
     return Edge{n, norm_ptr};
 }
 
@@ -423,15 +317,9 @@ Package::mulWeights(const Cplx *a, const Cplx *b)
 Edge
 Package::multiply(const Edge &a, const Edge &b)
 {
-    return multiplyImpl(*context(), a, b);
-}
-
-Edge
-Package::multiplyImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
-{
     if (a.weight == ctab_.zero() || b.weight == ctab_.zero())
         return zeroEdge();
-    Edge r = mulNodes(ctx, a.node, b.node);
+    Edge r = mulNodes(a.node, b.node);
     if (r.weight == ctab_.zero())
         return zeroEdge();
     const Cplx *w = mulWeights(mulWeights(a.weight, b.weight), r.weight);
@@ -441,9 +329,9 @@ Package::multiplyImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
 }
 
 Edge
-Package::mulNodes(WorkerContext &ctx, Node *x, Node *y)
+Package::mulNodes(Node *x, Node *y)
 {
-    ctx.stats.bump(ctx.stats.multiplies);
+    ++stats_.multiplies;
     if (isTerminal(x))
         return Edge{y, ctab_.one()};
     if (isTerminal(y))
@@ -451,17 +339,17 @@ Package::mulNodes(WorkerContext &ctx, Node *x, Node *y)
 
     size_t set =
         hashCombine(hashPtr(x), hashPtr(y)) & (kMulCacheSets - 1);
-    MulSlot *w0 = &ctx.mul_cache[2 * set];
+    MulSlot *w0 = &mul_cache_[2 * set];
     MulSlot *w1 = w0 + 1;
-    ctx.stats.bump(ctx.stats.computeLookups);
+    ++stats_.computeLookups;
     if (w0->a == x && w0->b == y) {
-        ctx.stats.bump(ctx.stats.computeHits);
+        ++stats_.computeHits;
         w0->age = 0;
         w1->age = 1;
         return w0->result;
     }
     if (w1->a == x && w1->b == y) {
-        ctx.stats.bump(ctx.stats.computeHits);
+        ++stats_.computeHits;
         w1->age = 0;
         w0->age = 1;
         return w1->result;
@@ -473,14 +361,14 @@ Package::mulNodes(WorkerContext &ctx, Node *x, Node *y)
     std::array<Edge, 4> res;
     for (int i = 0; i < 2; ++i) {
         for (int j = 0; j < 2; ++j) {
-            Edge p0 = multiplyImpl(ctx, child(ex, i, 0, top),
-                                   child(ey, 0, j, top));
-            Edge p1 = multiplyImpl(ctx, child(ex, i, 1, top),
-                                   child(ey, 1, j, top));
-            res[2 * i + j] = addImpl(ctx, p0, p1);
+            Edge p0 =
+                multiply(child(ex, i, 0, top), child(ey, 0, j, top));
+            Edge p1 =
+                multiply(child(ex, i, 1, top), child(ey, 1, j, top));
+            res[2 * i + j] = add(p0, p1);
         }
     }
-    Edge result = makeNodeImpl(ctx, top, res);
+    Edge result = makeNode(top, res);
     // Evict the empty way if there is one, else the least recently
     // touched (age bit set).
     MulSlot *victim = w0->a == nullptr   ? w0
@@ -488,7 +376,7 @@ Package::mulNodes(WorkerContext &ctx, Node *x, Node *y)
                       : w0->age != 0     ? w0
                                          : w1;
     if (victim->a != nullptr)
-        ctx.stats.bump(ctx.stats.mulEvictions);
+        ++stats_.mulEvictions;
     *victim = MulSlot{x, y, result, 0};
     (victim == w0 ? w1 : w0)->age = 1;
     return result;
@@ -497,13 +385,7 @@ Package::mulNodes(WorkerContext &ctx, Node *x, Node *y)
 Edge
 Package::add(const Edge &a, const Edge &b)
 {
-    return addImpl(*context(), a, b);
-}
-
-Edge
-Package::addImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
-{
-    ctx.stats.bump(ctx.stats.additions);
+    ++stats_.additions;
     if (a.weight == ctab_.zero())
         return b;
     if (b.weight == ctab_.zero())
@@ -522,17 +404,17 @@ Package::addImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
         std::swap(ka, kb);
     size_t set =
         hashCombine(hashEdge(ka), hashEdge(kb)) & (kAddCacheSets - 1);
-    AddSlot *w0 = &ctx.add_cache[2 * set];
+    AddSlot *w0 = &add_cache_[2 * set];
     AddSlot *w1 = w0 + 1;
-    ctx.stats.bump(ctx.stats.computeLookups);
+    ++stats_.computeLookups;
     if (w0->valid && w0->a == ka && w0->b == kb) {
-        ctx.stats.bump(ctx.stats.computeHits);
+        ++stats_.computeHits;
         w0->age = 0;
         w1->age = 1;
         return w0->result;
     }
     if (w1->valid && w1->a == ka && w1->b == kb) {
-        ctx.stats.bump(ctx.stats.computeHits);
+        ++stats_.computeHits;
         w1->age = 0;
         w0->age = 1;
         return w1->result;
@@ -550,17 +432,17 @@ Package::addImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
     std::array<Edge, 4> res;
     for (int i = 0; i < 2; ++i) {
         for (int j = 0; j < 2; ++j) {
-            res[2 * i + j] = addImpl(ctx, child(a, i, j, top),
-                                     child(b, i, j, top));
+            res[2 * i + j] =
+                add(child(a, i, j, top), child(b, i, j, top));
         }
     }
-    Edge result = makeNodeImpl(ctx, top, res);
+    Edge result = makeNode(top, res);
     AddSlot *victim = !w0->valid     ? w0
                       : !w1->valid   ? w1
                       : w0->age != 0 ? w0
                                      : w1;
     if (victim->valid)
-        ctx.stats.bump(ctx.stats.addEvictions);
+        ++stats_.addEvictions;
     *victim = AddSlot{ka, kb, result, true, 0};
     (victim == w0 ? w1 : w0)->age = 1;
     return result;
@@ -569,27 +451,21 @@ Package::addImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
 Edge
 Package::conjugateTranspose(const Edge &a)
 {
-    return ctImpl(*context(), a);
-}
-
-Edge
-Package::ctImpl(WorkerContext &ctx, const Edge &a)
-{
     Edge r;
     if (isTerminal(a.node)) {
         r = identityEdge();
     } else {
         size_t set = hashPtr(a.node) & (kCtCacheSets - 1);
-        CtSlot *w0 = &ctx.ct_cache[2 * set];
+        CtSlot *w0 = &ct_cache_[2 * set];
         CtSlot *w1 = w0 + 1;
-        ctx.stats.bump(ctx.stats.computeLookups);
+        ++stats_.computeLookups;
         if (w0->a == a.node) {
-            ctx.stats.bump(ctx.stats.computeHits);
+            ++stats_.computeHits;
             w0->age = 0;
             w1->age = 1;
             r = w0->result;
         } else if (w1->a == a.node) {
-            ctx.stats.bump(ctx.stats.computeHits);
+            ++stats_.computeHits;
             w1->age = 0;
             w0->age = 1;
             r = w1->result;
@@ -598,16 +474,16 @@ Package::ctImpl(WorkerContext &ctx, const Edge &a)
             for (int i = 0; i < 2; ++i) {
                 for (int j = 0; j < 2; ++j) {
                     res[2 * i + j] =
-                        ctImpl(ctx, a.node->e[2 * j + i]);
+                        conjugateTranspose(a.node->e[2 * j + i]);
                 }
             }
-            r = makeNodeImpl(ctx, a.node->var, res);
+            r = makeNode(a.node->var, res);
             CtSlot *victim = w0->a == nullptr   ? w0
                              : w1->a == nullptr ? w1
                              : w0->age != 0     ? w0
                                                 : w1;
             if (victim->a != nullptr)
-                ctx.stats.bump(ctx.stats.ctEvictions);
+                ++stats_.ctEvictions;
             *victim = CtSlot{a.node, r, 0};
             (victim == w0 ? w1 : w0)->age = 1;
         }
@@ -621,7 +497,6 @@ Edge
 Package::makeGateDD(const Mat2 &u, const std::vector<Qubit> &controls,
                     Qubit target)
 {
-    WorkerContext &ctx = *context();
     std::array<Edge, 4> em;
     for (int i = 0; i < 4; ++i)
         em[i] = terminalEdge(u.e[i]);
@@ -639,21 +514,20 @@ Package::makeGateDD(const Mat2 &u, const std::vector<Qubit> &controls,
         for (int i = 0; i < 2; ++i) {
             for (int j = 0; j < 2; ++j) {
                 Edge inactive = i == j ? identityEdge() : zeroEdge();
-                em[2 * i + j] = makeNodeImpl(
-                    ctx, var,
-                    {inactive, zeroEdge(), zeroEdge(), em[2 * i + j]});
+                em[2 * i + j] = makeNode(
+                    var, {inactive, zeroEdge(), zeroEdge(), em[2 * i + j]});
             }
         }
         ++idx;
     }
 
-    Edge e = makeNodeImpl(ctx, static_cast<std::int32_t>(target), em);
+    Edge e = makeNode(static_cast<std::int32_t>(target), em);
 
     // Controls above the target, bottom-up.
     while (idx < sorted.size()) {
         QSYN_ASSERT(sorted[idx] < target, "control equals target");
-        e = makeNodeImpl(ctx, static_cast<std::int32_t>(sorted[idx]),
-                         {identityEdge(), zeroEdge(), zeroEdge(), e});
+        e = makeNode(static_cast<std::int32_t>(sorted[idx]),
+                     {identityEdge(), zeroEdge(), zeroEdge(), e});
         ++idx;
     }
     return e;
@@ -663,13 +537,12 @@ Edge
 Package::makeSwapDD(const std::vector<Qubit> &controls, Qubit a, Qubit b)
 {
     // (c-)SWAP(a,b) = CNOT(b,a) . MCX(controls + {a}, b) . CNOT(b,a)
-    WorkerContext &ctx = *context();
     Mat2 x = baseMatrix(GateKind::X);
     Edge outer = makeGateDD(x, {b}, a);
     std::vector<Qubit> cs = controls;
     cs.push_back(a);
     Edge inner = makeGateDD(x, cs, b);
-    return multiplyImpl(ctx, outer, multiplyImpl(ctx, inner, outer));
+    return multiply(outer, multiply(inner, outer));
 }
 
 Edge
@@ -694,18 +567,12 @@ Package::gateDD(const Gate &gate)
 Edge
 Package::buildCircuit(const Circuit &circuit)
 {
-    Session session(*this);
-    WorkerContext &ctx = *context();
     Edge e = identityEdge();
     for (const Gate &g : circuit) {
         if (g.kind() == GateKind::Barrier)
             continue;
-        e = multiplyImpl(ctx, gateDD(g), e);
-        if (live_nodes_.load(std::memory_order_relaxed) >
-            gc_threshold_.load(std::memory_order_relaxed))
-            requestGc();
-        if (gcPending())
-            safePoint({e});
+        e = multiply(gateDD(g), e);
+        collectGarbageIfDue({&e, 1});
     }
     return e;
 }
@@ -713,13 +580,12 @@ Package::buildCircuit(const Circuit &circuit)
 Edge
 Package::makeProjector(const std::vector<Qubit> &zero_wires)
 {
-    WorkerContext &ctx = *context();
     std::vector<Qubit> sorted = zero_wires;
     std::sort(sorted.begin(), sorted.end(), std::greater<>());
     Edge e = identityEdge();
     for (Qubit v : sorted) {
-        e = makeNodeImpl(ctx, static_cast<std::int32_t>(v),
-                         {e, zeroEdge(), zeroEdge(), zeroEdge()});
+        e = makeNode(static_cast<std::int32_t>(v),
+                     {e, zeroEdge(), zeroEdge(), zeroEdge()});
     }
     return e;
 }
@@ -774,20 +640,18 @@ Package::maxMagnitude(const Edge &e)
 {
     if (e.weight == ctab_.zero())
         return 0.0;
-    WorkerContext &ctx = *context();
     // Max |entry| = max over paths of the product of |weight|s, which
     // decomposes level by level into a per-node maximum.
     struct Rec
     {
         Package *pkg;
-        WorkerContext *ctx;
         double
         operator()(const Node *n)
         {
             if (isTerminal(n))
                 return 1.0;
-            auto it = ctx->mag_cache.find(n);
-            if (it != ctx->mag_cache.end())
+            auto it = pkg->mag_cache_.find(n);
+            if (it != pkg->mag_cache_.end())
                 return it->second;
             double m = 0.0;
             for (const Edge &c : n->e) {
@@ -795,10 +659,10 @@ Package::maxMagnitude(const Edge &e)
                     continue;
                 m = std::max(m, std::abs(*c.weight) * (*this)(c.node));
             }
-            ctx->mag_cache.emplace(n, m);
+            pkg->mag_cache_.emplace(n, m);
             return m;
         }
-    } rec{this, &ctx};
+    } rec{this};
     return std::abs(*e.weight) * rec(e.node);
 }
 
@@ -811,127 +675,19 @@ Package::approxEqualEdges(const Edge &a, const Edge &b, double eps)
     return maxMagnitude(diff) < eps;
 }
 
-size_t
-Package::uniqueCapacity() const
-{
-    size_t total = 0;
-    for (const UniqueShard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        total += s.slots.size();
-    }
-    return total;
-}
-
 double
 Package::uniqueLoadFactor() const
 {
-    size_t cap = uniqueCapacity();
-    return cap ? static_cast<double>(activeNodes()) /
-                     static_cast<double>(cap)
-               : 0.0;
-}
-
-size_t
-Package::arenaNodes() const
-{
-    size_t total = 0;
-    for (const UniqueShard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        total += s.arena.size();
-    }
-    return total;
-}
-
-size_t
-Package::arenaBytes() const
-{
-    return arenaNodes() * sizeof(Node);
-}
-
-size_t
-Package::freeListLength() const
-{
-    size_t total = 0;
-    for (const UniqueShard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        total += s.freeCount;
-    }
-    return total;
+    return static_cast<double>(live_) /
+           static_cast<double>(slots_.size());
 }
 
 size_t
 Package::computeCacheBytes() const
 {
-    size_t total = 0;
-    std::lock_guard<std::mutex> lock(ctx_mu_);
-    for (const auto &c : contexts_) {
-        total += c->mul_cache.size() * sizeof(MulSlot) +
-                 c->add_cache.size() * sizeof(AddSlot) +
-                 c->ct_cache.size() * sizeof(CtSlot);
-    }
-    return total;
-}
-
-void
-Package::beginSession()
-{
-    WorkerContext *ctx = context();
-    if (ctx->sessionDepth++ > 0)
-        return;
-    std::lock_guard<std::mutex> lock(gc_mu_);
-    ++active_mutators_;
-}
-
-void
-Package::endSession()
-{
-    WorkerContext *ctx = context();
-    if (--ctx->sessionDepth > 0)
-        return;
-    std::lock_guard<std::mutex> lock(gc_mu_);
-    --active_mutators_;
-    if (!gc_requested_.load(std::memory_order_relaxed))
-        return;
-    if (active_mutators_ == 0) {
-        // Last session out with a GC still pending: drop the request
-        // rather than sweep, so edges the caller just built (and still
-        // holds outside any session) stay alive. The next automatic
-        // trigger re-requests.
-        gc_requested_.store(false, std::memory_order_relaxed);
-    } else if (parked_ == active_mutators_) {
-        // This session was the only one not yet parked; its exit
-        // completes the barrier on behalf of the waiters.
-        sweepLocked({});
-    }
-}
-
-void
-Package::requestGc()
-{
-    gc_requested_.store(true, std::memory_order_relaxed);
-}
-
-void
-Package::safePoint(const std::vector<Edge> &roots)
-{
-    if (!gcPending())
-        return;
-    WorkerContext *ctx = context();
-    QSYN_ASSERT(ctx->sessionDepth > 0,
-                "safePoint outside an active Session");
-    std::unique_lock<std::mutex> lock(gc_mu_);
-    if (!gc_requested_.load(std::memory_order_relaxed))
-        return; // served while we took the lock
-    ctx->parkedRoots = roots;
-    ctx->parked = true;
-    ++parked_;
-    if (parked_ == active_mutators_) {
-        // Everyone is at the barrier; this thread is the sweeper.
-        sweepLocked({});
-        return;
-    }
-    std::uint64_t gen = gc_generation_;
-    gc_cv_.wait(lock, [&] { return gc_generation_ != gen; });
+    return mul_cache_.size() * sizeof(MulSlot) +
+           add_cache_.size() * sizeof(AddSlot) +
+           ct_cache_.size() * sizeof(CtSlot);
 }
 
 void
@@ -947,170 +703,56 @@ Package::markReachable(Node *n, std::uint32_t epoch)
 }
 
 void
-Package::collectGarbage(const std::vector<Edge> &roots)
+Package::collectGarbage(std::span<const Edge> roots)
 {
-    std::lock_guard<std::mutex> lock(gc_mu_);
-    sweepLocked(roots);
-}
-
-void
-Package::sweepLocked(const std::vector<Edge> &extra_roots)
-{
-    gc_runs_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.gcRuns;
     ++mark_epoch_;
-    for (const Edge &r : extra_roots) {
+    for (const Edge &r : roots) {
         if (r.node != nullptr)
             markReachable(r.node, mark_epoch_);
     }
-    {
-        // Parked sessions' published roots survive too. Their owner
-        // threads are blocked on gc_cv_ (their pre-park writes ordered
-        // by gc_mu_), so touching their contexts here is race-free.
-        std::lock_guard<std::mutex> clock(ctx_mu_);
-        for (const auto &c : contexts_) {
-            if (!c->parked)
-                continue;
-            for (const Edge &r : c->parkedRoots) {
-                if (r.node != nullptr)
-                    markReachable(r.node, mark_epoch_);
-            }
-        }
-    }
 
-    size_t freed = 0;
-    for (UniqueShard &shard : shards_) {
-        std::lock_guard<std::mutex> slock(shard.mu);
-        for (Node *&slot : shard.slots) {
-            Node *n = slot;
-            if (n == nullptr)
-                continue;
-            if (n->mark != mark_epoch_) {
-                slot = nullptr;
-                n->next = shard.freeList;
-                shard.freeList = n;
-                ++shard.freeCount;
-                --shard.size;
-                ++freed;
-            }
-        }
-        // Open addressing cannot leave holes in probe chains: rebuild
-        // the survivors' slots. Nodes themselves never move, so edges
-        // (and canonicity) are untouched. Shrink the slot array when
-        // survivors occupy a small fraction of it, never below the
-        // shard's initial capacity.
-        size_t capacity = shard.slots.size();
-        while (capacity > shard.minCapacity &&
-               shard.size < capacity / kShrinkDivisor)
-            capacity /= 2;
-        rehashShard(shard, capacity);
+    for (Node *&slot : slots_) {
+        Node *n = slot;
+        if (n == nullptr || n->mark == mark_epoch_)
+            continue;
+        slot = nullptr;
+        n->next = free_list_;
+        free_list_ = n;
+        ++free_count_;
+        --live_;
     }
-    size_t live = live_nodes_.fetch_sub(freed, std::memory_order_relaxed)
-                  - freed;
-    free_total_.fetch_add(freed, std::memory_order_relaxed);
+    // Open addressing cannot leave holes in probe chains: rebuild the
+    // survivors' slots. Nodes themselves never move, so edges (and
+    // canonicity) are untouched. Shrink the slot array when survivors
+    // occupy a small fraction of it, never below its initial size.
+    size_t capacity = slots_.size();
+    while (capacity > min_capacity_ && live_ < capacity / kShrinkDivisor)
+        capacity /= 2;
+    rehash(capacity);
 
-    {
-        // Every thread's compute caches may hold freed nodes; clear
-        // them all. Non-parked contexts belong to threads that are not
-        // mutating (contract), so this cannot race.
-        std::lock_guard<std::mutex> clock(ctx_mu_);
-        for (const auto &c : contexts_) {
-            std::fill(c->mul_cache.begin(), c->mul_cache.end(),
-                      MulSlot{});
-            std::fill(c->add_cache.begin(), c->add_cache.end(),
-                      AddSlot{});
-            std::fill(c->ct_cache.begin(), c->ct_cache.end(), CtSlot{});
-            c->mag_cache.clear();
-            if (c->parked) {
-                c->parked = false;
-                c->parkedRoots.clear();
-            }
-        }
-    }
+    // The caches may hold freed nodes.
+    std::fill(mul_cache_.begin(), mul_cache_.end(), MulSlot{});
+    std::fill(add_cache_.begin(), add_cache_.end(), AddSlot{});
+    std::fill(ct_cache_.begin(), ct_cache_.end(), CtSlot{});
+    mag_cache_.clear();
 
     // If the survivors alone still exceed the threshold, raise it so we
     // do not thrash in a GC loop; when a later sweep shows the spike
-    // was transient, decay back toward the configured threshold so GC
-    // re-arms for long-lived (batch-worker) packages.
-    size_t thr = gc_threshold_.load(std::memory_order_relaxed);
-    size_t min_thr = min_gc_threshold_.load(std::memory_order_relaxed);
-    if (live > thr / 2) {
-        gc_threshold_.store(thr * 2, std::memory_order_relaxed);
-    } else if (thr > min_thr && live < thr / 4) {
-        gc_threshold_.store(std::max(min_thr, thr / 2),
-                            std::memory_order_relaxed);
+    // was transient, decay back toward the configured threshold.
+    if (live_ > gc_threshold_ / 2) {
+        gc_threshold_ *= 2;
+    } else if (gc_threshold_ > min_gc_threshold_ &&
+               live_ < gc_threshold_ / 4) {
+        gc_threshold_ = std::max(min_gc_threshold_, gc_threshold_ / 2);
     }
-
-    // Release the barrier.
-    parked_ = 0;
-    gc_requested_.store(false, std::memory_order_relaxed);
-    ++gc_generation_;
-    gc_cv_.notify_all();
 }
 
 void
 Package::setGcThreshold(size_t threshold)
 {
-    size_t clamped = std::max(threshold, kMinGcThreshold);
-    gc_threshold_.store(clamped, std::memory_order_relaxed);
-    min_gc_threshold_.store(clamped, std::memory_order_relaxed);
-}
-
-PackageStats
-Package::stats() const
-{
-    PackageStats s;
-    {
-        std::lock_guard<std::mutex> lock(ctx_mu_);
-        for (const auto &c : contexts_) {
-            const LocalStats &l = c->stats;
-            s.uniqueLookups +=
-                l.uniqueLookups.load(std::memory_order_relaxed);
-            s.uniqueHits += l.uniqueHits.load(std::memory_order_relaxed);
-            s.multiplies += l.multiplies.load(std::memory_order_relaxed);
-            s.additions += l.additions.load(std::memory_order_relaxed);
-            s.computeLookups +=
-                l.computeLookups.load(std::memory_order_relaxed);
-            s.computeHits +=
-                l.computeHits.load(std::memory_order_relaxed);
-            s.mulEvictions +=
-                l.mulEvictions.load(std::memory_order_relaxed);
-            s.addEvictions +=
-                l.addEvictions.load(std::memory_order_relaxed);
-            s.ctEvictions +=
-                l.ctEvictions.load(std::memory_order_relaxed);
-        }
-    }
-    for (const UniqueShard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        s.uniqueRehashes += shard.rehashes;
-    }
-    s.gcRuns = gc_runs_.load(std::memory_order_relaxed);
-    s.peakNodes = peak_nodes_.load(std::memory_order_relaxed);
-    return s;
-}
-
-PackageStats
-Package::threadStats() const
-{
-    PackageStats s;
-    const LocalStats &l = context()->stats;
-    s.uniqueLookups = l.uniqueLookups.load(std::memory_order_relaxed);
-    s.uniqueHits = l.uniqueHits.load(std::memory_order_relaxed);
-    s.multiplies = l.multiplies.load(std::memory_order_relaxed);
-    s.additions = l.additions.load(std::memory_order_relaxed);
-    s.computeLookups =
-        l.computeLookups.load(std::memory_order_relaxed);
-    s.computeHits = l.computeHits.load(std::memory_order_relaxed);
-    s.mulEvictions = l.mulEvictions.load(std::memory_order_relaxed);
-    s.addEvictions = l.addEvictions.load(std::memory_order_relaxed);
-    s.ctEvictions = l.ctEvictions.load(std::memory_order_relaxed);
-    for (const UniqueShard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        s.uniqueRehashes += shard.rehashes;
-    }
-    s.gcRuns = gc_runs_.load(std::memory_order_relaxed);
-    s.peakNodes = peak_nodes_.load(std::memory_order_relaxed);
-    return s;
+    gc_threshold_ = std::max(threshold, kMinGcThreshold);
+    min_gc_threshold_ = gc_threshold_;
 }
 
 void
@@ -1120,7 +762,7 @@ Package::publishMetrics(const char *prefix) const
     if (sink == nullptr)
         return;
     obs::MetricsRegistry &m = sink->metrics();
-    PackageStats st = stats();
+    const PackageStats &st = stats_;
     std::string p(prefix);
     m.setGauge(p + ".live_nodes", static_cast<double>(activeNodes()));
     m.setGauge(p + ".peak_nodes", static_cast<double>(st.peakNodes));
@@ -1153,29 +795,7 @@ Package::publishMetrics(const char *prefix) const
     m.setGauge(p + ".multiplies", static_cast<double>(st.multiplies));
     m.setGauge(p + ".additions", static_cast<double>(st.additions));
     m.setGauge(p + ".gc_runs", static_cast<double>(st.gcRuns));
-
-    // Shard-level lock-contention gauges: how often makeNode had to
-    // wait for another worker, the contention signal that would argue
-    // for more shards.
-    size_t acquisitions = 0, contended = 0;
-    for (const UniqueShard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        acquisitions += shard.lockAcquisitions;
-        contended += shard.lockContended;
-    }
-    m.setGauge(p + ".shard.count",
-               static_cast<double>(shards_.size()));
-    m.setGauge(p + ".shard.lock_acquisitions",
-               static_cast<double>(acquisitions));
-    m.setGauge(p + ".shard.lock_contended",
-               static_cast<double>(contended));
-    m.setGauge(p + ".shard.contention_rate",
-               acquisitions ? static_cast<double>(contended) /
-                                  static_cast<double>(acquisitions)
-                            : 0.0);
     m.setGauge(p + ".ctab.size", static_cast<double>(ctab_.size()));
-    m.setGauge(p + ".ctab.slow_inserts",
-               static_cast<double>(ctab_.slowInserts()));
 }
 
 } // namespace qsyn::dd

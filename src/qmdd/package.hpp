@@ -10,42 +10,31 @@
  * identity-skipping edge convention.
  *
  * Hot-path design (see docs/performance.md):
- *  - the unique table is *sharded by node hash* into independently
- *    locked stripes; each shard is open-addressing with linear probing
- *    and grows on a load-factor trigger. Rehashing moves only the
- *    shard's slot array, never the nodes (each shard owns its node
- *    arena), so Node* identity — and thus canonicity — survives every
- *    resize;
+ *  - the unique table is one open-addressing table with linear probing
+ *    that grows on a load-factor trigger. Rehashing moves only the slot
+ *    array, never the nodes (they live in one arena), so Node* identity
+ *    — and thus canonicity — survives every resize;
  *  - the mul/add/ct compute caches are 2-way set-associative with a
- *    one-bit age per way and are **per thread** (a WorkerContext is
- *    created lazily for every thread that touches the package), so the
- *    single-thread hot path probes them without any synchronization;
- *  - complex-weight interning (ComplexTable) probes lock-free and
- *    serializes only first-time inserts, so weight-pointer canonicity
- *    holds across threads.
+ *    one-bit age per way;
+ *  - complex weights are interned in a ComplexTable, so equal weights
+ *    are the same pointer.
  *
- * Concurrency contract: a Package may be used from many threads at
- * once (the `--share-manager` batch mode). Node creation and matrix
- * algebra are safe anywhere, but garbage collection is a stop-the-
- * world mark-and-sweep coordinated at *safe points*: every thread that
- * runs long gate-product loops must hold a Package::Session and call
- * safePoint() with its live roots between gates (buildCircuit and the
- * EquivalenceChecker do this internally). GC runs only when every
- * active session is parked at a safe point, with the union of parked
- * roots kept alive. Single-threaded use degenerates to the old
- * behavior: the lone session reaches its safe point and sweeps inline.
+ * Ownership: a Package is single-threaded. One thread creates it, uses
+ * it and destroys it; checks that run at the same time (batch workers,
+ * qsynd requests) each own a package, so nothing in here locks.
+ * Garbage collection is mark-and-sweep from explicit roots: an edge
+ * survives a sweep only if it is reachable from a root the sweep is
+ * given. The gate loops (buildCircuit, the EquivalenceChecker and
+ * VectorEngine::applyCircuit) call collectGarbageIfDue() after every
+ * step with the edges they still need.
  */
 
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -56,15 +45,13 @@
 
 namespace qsyn::dd {
 
-/** Counter snapshot exposed for the micro-benchmarks, tests, and the
- *  obs metrics surface (`qmdd.*`). Plain values: the live counters are
- *  kept per worker thread (and per shard) and merged into this struct
- *  on demand, so a snapshot is exact even while other threads run. */
+/** Counter snapshot exposed for the tests, the compile report and the
+ *  obs metrics surface (`qmdd.*`). */
 struct PackageStats
 {
     size_t uniqueLookups = 0;
     size_t uniqueHits = 0;
-    /** Times a unique-table shard grew (slots doubled, nodes untouched). */
+    /** Times the unique table grew (slots doubled, nodes untouched). */
     size_t uniqueRehashes = 0;
     size_t multiplies = 0;
     size_t additions = 0;
@@ -105,13 +92,12 @@ struct PackageStats
  *  package, so the defaults are sized to one miter's working set, not
  *  to a long-lived package: the unique table and the GC trigger grow
  *  on demand. Tests shrink both to force the rehash and GC paths. The
- *  shard count and the compute-cache geometry are constants (see
- *  Package::kUniqueShards and the k*CacheSets below it). */
+ *  compute-cache geometry is constant (the k*CacheSets below). */
 struct PackageConfig
 {
-    /** Initial unique-table slot count, summed across shards (each
-     *  shard rounds its slice up to a power of 2, with a small floor).
-     *  Shards grow past this on demand and never shrink below. */
+    /** Initial unique-table slot count, rounded up to a power of 2
+     *  with a small floor. The table grows past this on demand and
+     *  never shrinks below. */
     size_t initialUniqueCapacity = size_t{1} << 16;
     /** Live-node threshold that triggers automatic GC. Sized to the
      *  miter's live set, not its garbage: each sweep doubles the
@@ -131,29 +117,6 @@ class Package
     Package(const Package &) = delete;
     Package &operator=(const Package &) = delete;
 
-    /**
-     * RAII mark that the current thread is actively mutating the
-     * package (a "mutator"). Garbage collection waits until every
-     * session is parked at a safePoint(), so threads that share a
-     * package must wrap their gate-product loops in a Session (or use
-     * buildCircuit / EquivalenceChecker, which do). Reentrant per
-     * thread; cheap when nested.
-     */
-    class Session
-    {
-      public:
-        explicit Session(Package &pkg) : pkg_(pkg)
-        {
-            pkg_.beginSession();
-        }
-        ~Session() { pkg_.endSession(); }
-        Session(const Session &) = delete;
-        Session &operator=(const Session &) = delete;
-
-      private:
-        Package &pkg_;
-    };
-
     /** @name Leaf edges */
     /// @{
     /** The zero matrix (of any dimension). */
@@ -168,11 +131,11 @@ class Package
      * Canonical node constructor: applies zero-edge canonicalization,
      * the identity-skip reduction, weight normalization, and the unique
      * table. `edges[i]` is quadrant U_{rc} with i = 2r + c. Children
-     * must be at variables strictly greater than `var`. Thread-safe.
+     * must be at variables strictly greater than `var`.
      */
     Edge makeNode(std::int32_t var, const std::array<Edge, 4> &edges);
 
-    /** @name Matrix algebra (thread-safe; memoized per thread) */
+    /** @name Matrix algebra (memoized in the compute caches) */
     /// @{
     Edge multiply(const Edge &a, const Edge &b);
     Edge add(const Edge &a, const Edge &b);
@@ -197,8 +160,9 @@ class Package
     Edge makeSwapDD(const std::vector<Qubit> &controls, Qubit a, Qubit b);
     /** DD of an arbitrary IR gate (must be unitary). */
     Edge gateDD(const Gate &gate);
-    /** DD of a whole circuit: product of its gate DDs. Opens a Session
-     *  and hits a GC safe point after every gate. */
+    /** DD of a whole circuit: product of its gate DDs. Calls
+     *  collectGarbageIfDue() with the running product after every
+     *  gate, so edges the caller built earlier may not survive it. */
     Edge buildCircuit(const Circuit &circuit);
     /** Projector |0><0| on `zero_wires`, identity on all other wires. */
     Edge makeProjector(const std::vector<Qubit> &zero_wires);
@@ -214,51 +178,35 @@ class Package
     size_t countNodes(const Edge &e);
     /** Largest entry magnitude of the represented matrix. */
     double maxMagnitude(const Edge &e);
-    /** Nodes currently alive across all unique-table shards. */
-    size_t
-    activeNodes() const
-    {
-        return live_nodes_.load(std::memory_order_relaxed);
-    }
+    /** Nodes currently alive in the unique table. */
+    size_t activeNodes() const { return live_; }
     /** Live-node high-water mark (see PackageStats::peakNodes). */
-    size_t
-    peakNodes() const
-    {
-        return peak_nodes_.load(std::memory_order_relaxed);
-    }
-    /** Current unique-table slot count, summed over shards. */
-    size_t uniqueCapacity() const;
-    /** Number of unique-table shards. */
-    size_t uniqueShards() const { return kUniqueShards; }
-    /** Live nodes / slots; each shard's resize trigger keeps its own
-     *  ratio under the internal maximum (kMaxLoadPercent). */
+    size_t peakNodes() const { return stats_.peakNodes; }
+    /** Current unique-table slot count. */
+    size_t uniqueCapacity() const { return slots_.size(); }
+    /** Live nodes / slots; the resize trigger keeps this under the
+     *  internal maximum (kMaxLoadPercent). */
     double uniqueLoadFactor() const;
-    /** Nodes ever allocated from the shard arenas (live + recycled). */
-    size_t arenaNodes() const;
-    /** Bytes the node arenas hold (allocator high-water, since arenas
-     *  never shrink); the per-compile resource accounting's
+    /** Nodes ever allocated from the node arena (live + recycled). */
+    size_t arenaNodes() const { return arena_.size(); }
+    /** Bytes the node arena holds (allocator high-water, since the
+     *  arena never shrinks); the per-compile resource accounting's
      *  `qmdd_arena_bytes` source. */
-    size_t arenaBytes() const;
-    /** Reclaimed nodes awaiting reuse, summed over shards. */
-    size_t freeListLength() const;
-    /** Bytes of mul/add/ct compute-cache slots, summed over every
-     *  thread's worker context (the `compute_cache_bytes` gauge). */
+    size_t arenaBytes() const { return arena_.size() * sizeof(Node); }
+    /** Reclaimed nodes awaiting reuse. */
+    size_t freeListLength() const { return free_count_; }
+    /** Bytes of mul/add/ct compute-cache slots (the
+     *  `compute_cache_bytes` gauge). */
     size_t computeCacheBytes() const;
-    /** Exact merged counter snapshot: per-thread counters summed over
-     *  every worker context plus the shard/global counters. */
-    PackageStats stats() const;
-    /** The calling thread's share of the counters (its worker context)
-     *  plus the global peak/GC/rehash values. Lets a shared-manager
-     *  compile attribute table traffic to itself by diffing two
-     *  snapshots around its verification. */
-    PackageStats threadStats() const;
+    /** Counter snapshot. */
+    PackageStats stats() const { return stats_; }
     /**
      * Publish the package's counters as `<prefix>.*` gauges on the
      * installed obs sink: live/peak nodes, table lookup/hit counts and
      * rates, allocator internals (arena size, free-list length), table
-     * capacity/load factor, per-cache eviction counts, and the
-     * `<prefix>.shard.*` lock-contention gauges. No-op when
-     * observability is off; last package published wins on collisions.
+     * capacity/load factor, per-cache eviction counts and the complex
+     * table's size. No-op when observability is off; last package
+     * published wins on collisions.
      */
     void publishMetrics(const char *prefix = "qmdd") const;
     /// @}
@@ -273,58 +221,45 @@ class Package
     /** @name Garbage collection */
     /// @{
     /**
-     * Stop-the-world mark-and-sweep. Everything reachable from `roots`
-     * (plus the published roots of any session parked at a safe point)
-     * survives; every thread's compute caches are cleared. Safe to
-     * call directly only when no *other* thread is mutating the
-     * package; concurrent callers use requestGc() + safePoint().
+     * Mark-and-sweep: everything reachable from `roots` survives,
+     * every other node is recycled, and the compute caches and the
+     * maxMagnitude memo are cleared. Any edge not reachable from a
+     * root is invalid afterwards. The sweep also adapts the GC
+     * threshold to the survivors (see PackageConfig::gcThreshold).
      */
-    void collectGarbage(const std::vector<Edge> &roots);
-
-    /** Ask for a GC at the next point every active session is parked.
-     *  Cheap and idempotent. */
-    void requestGc();
-
-    /** True when a GC has been requested and not yet run. The hot
-     *  per-gate check: one relaxed load. */
-    bool
-    gcPending() const
-    {
-        return gc_requested_.load(std::memory_order_relaxed);
-    }
+    void collectGarbage(std::span<const Edge> roots);
 
     /**
-     * Park the calling session with its live `roots` until the
-     * requested GC has run (the last session to park performs the
-     * sweep inline). Call between gates whenever gcPending(); no-op if
-     * the request was already served. Must hold a Session.
+     * The gate loops' automatic GC: sweep with `roots` once live nodes
+     * pass the threshold. True when it swept, so a caller that keeps a
+     * memo keyed by nodes (the vector engine) knows to clear it.
      */
-    void safePoint(const std::vector<Edge> &roots);
+    bool
+    collectGarbageIfDue(std::span<const Edge> roots)
+    {
+        if (live_ <= gc_threshold_)
+            return false;
+        collectGarbage(roots);
+        return true;
+    }
 
     /** Live-node threshold that triggers automatic GC (clamped to a
      *  small floor so it can never be set to a thrash-inducing zero). */
     void setGcThreshold(size_t threshold);
-    size_t
-    gcThreshold() const
-    {
-        return gc_threshold_.load(std::memory_order_relaxed);
-    }
+    size_t gcThreshold() const { return gc_threshold_; }
     /// @}
 
   private:
-    /** Unique-table shards, each under its own lock, so concurrent
-     *  workers rarely wait on one another. */
-    static constexpr size_t kUniqueShards = 16;
-    /** Sets per compute cache (each set holds 2 ways, per thread).
-     *  A thread's caches are zeroed on its first call into a package
-     *  (allocated only when no earlier package on the thread left its
-     *  slots behind) and cleared by every GC, and compile() verifies
-     *  on a fresh package, so their size is paid per compile. The
-     *  miter stays near the projector, so its working set is small:
-     *  these are the smallest sizes (mul swept over 2^8..2^16 with
-     *  add = mul/2, ct = mul/16) that keep `multiplies` within 5% of
-     *  2^16 mul sets on every benchmark workload (paper_tables +2.8%,
-     *  the most; docs/performance.md). They take 560 KiB per thread
+    /** Sets per compute cache (each set holds 2 ways). The caches are
+     *  zeroed when a package is created (allocated only when no
+     *  earlier package on the thread left its slots behind) and
+     *  cleared by every GC, and compile() verifies on a fresh package,
+     *  so their size is paid per compile. The miter stays near the
+     *  projector, so its working set is small: these are the smallest
+     *  sizes (mul swept over 2^8..2^16 with add = mul/2, ct = mul/16)
+     *  that keep `multiplies` within 5% of 2^16 mul sets on every
+     *  benchmark workload (paper_tables +2.8%, the most;
+     *  docs/performance.md). They take 560 KiB per package
      *  (computeCacheBytes(); the budget is 1 MiB). */
     static constexpr size_t kMulCacheSets = size_t{1} << 12;
     static constexpr size_t kAddCacheSets = size_t{1} << 11;
@@ -356,117 +291,28 @@ class Package
         std::uint8_t age = 0;
     };
 
-    /** Monotonic counters owned by one worker thread. Relaxed atomics:
-     *  increments are uncontended (own cache line), and stats() reads
-     *  them race-free while the owner keeps running. */
-    struct LocalStats
-    {
-        std::atomic<size_t> uniqueLookups{0};
-        std::atomic<size_t> uniqueHits{0};
-        std::atomic<size_t> multiplies{0};
-        std::atomic<size_t> additions{0};
-        std::atomic<size_t> computeLookups{0};
-        std::atomic<size_t> computeHits{0};
-        std::atomic<size_t> mulEvictions{0};
-        std::atomic<size_t> addEvictions{0};
-        std::atomic<size_t> ctEvictions{0};
-
-        void
-        bump(std::atomic<size_t> &c)
-        {
-            c.store(c.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-        }
-    };
-
-    /**
-     * Per-thread state: the compute caches, the maxMagnitude memo, the
-     * thread's counters, and its GC-session bookkeeping. Created
-     * lazily the first time a thread touches the package; owned by the
-     * package and found by its owner's thread id, so a thread keeps no
-     * per-package state beyond context()'s one-entry cache.
-     */
-    struct alignas(64) WorkerContext
-    {
-        /** Set at creation, never changed. */
-        std::thread::id owner;
-        std::vector<MulSlot> mul_cache;
-        std::vector<AddSlot> add_cache;
-        std::vector<CtSlot> ct_cache;
-        std::unordered_map<const Node *, double> mag_cache;
-        LocalStats stats;
-        /** Session nesting depth; touched only by the owner thread. */
-        int sessionDepth = 0;
-        /** Roots published while parked at a safe point (gc_mu_). */
-        std::vector<Edge> parkedRoots;
-        bool parked = false; ///< guarded by gc_mu_
-    };
-
-    /** Cache slots a destroyed package left to the thread that owned
-     *  them, for that thread's next context (see ~Package). */
+    /** Slot arrays a destroyed package left to the thread that
+     *  destroyed it, for the thread's next package (see ~Package). */
     struct SpareCaches
     {
         std::vector<MulSlot> mul;
         std::vector<AddSlot> add;
         std::vector<CtSlot> ct;
+        /** Unique-table slots, kept only at a package's initial size. */
+        std::vector<Node *> unique;
     };
     /** The calling thread's spare slots (empty when it has none). */
     static SpareCaches &spareCaches();
 
-    /** One stripe of the unique table: an open-addressing slot array
-     *  plus the arena and free list for the nodes it owns. Padded so
-     *  neighboring shards' locks do not false-share. */
-    struct alignas(64) UniqueShard
-    {
-        /** Mutable so const inspection methods (stats, capacity) can
-         *  take a consistent snapshot. */
-        mutable std::mutex mu;
-        /** nullptr = empty slot. Deletion happens only in the GC
-         *  sweep, which rebuilds the shard. Guarded by mu. */
-        std::vector<Node *> slots;
-        size_t mask = 0;
-        size_t size = 0;
-        size_t minCapacity = 0;
-        std::deque<Node> arena;
-        Node *freeList = nullptr;
-        size_t freeCount = 0;
-        size_t rehashes = 0;
-        /** Lock-contention accounting (qmdd.shard.* gauges). */
-        size_t lockAcquisitions = 0;
-        size_t lockContended = 0;
-    };
-
-    WorkerContext *context() const;
-    WorkerContext *contextSlow() const;
-
-    void beginSession();
-    void endSession();
-
-    /** The sweep itself; caller holds gc_mu_. Marks `extra_roots` plus
-     *  every parked context's roots, sweeps each shard (under its
-     *  lock), clears all contexts' caches, adapts the threshold, and
-     *  releases any parked sessions. */
-    void sweepLocked(const std::vector<Edge> &extra_roots);
-
-    Edge makeNodeImpl(WorkerContext &ctx, std::int32_t var,
-                      const std::array<Edge, 4> &edges);
-    Edge multiplyImpl(WorkerContext &ctx, const Edge &a, const Edge &b);
-    Edge mulNodes(WorkerContext &ctx, Node *x, Node *y);
-    Edge addImpl(WorkerContext &ctx, const Edge &a, const Edge &b);
-    Edge ctImpl(WorkerContext &ctx, const Edge &a);
+    Edge mulNodes(Node *x, Node *y);
 
     /** Weight-pointer product with O(1) fast paths for 0 and 1. */
     const Cplx *mulWeights(const Cplx *a, const Cplx *b);
 
-    Node *allocNode(UniqueShard &shard);
+    Node *allocNode();
 
-    UniqueShard &shardOf(size_t hash);
-    /** Lock a shard, counting contention. */
-    void lockShard(UniqueShard &shard);
-
-    /** Grow one shard to `capacity` slots (nodes stay put). Caller
-     *  holds the shard lock. */
-    static void rehashShard(UniqueShard &shard, size_t capacity);
+    /** Rebuild the slot array at `capacity` slots (nodes stay put). */
+    void rehash(size_t capacity);
 
     void markReachable(Node *n, std::uint32_t epoch);
 
@@ -476,31 +322,28 @@ class Package
     ComplexTable ctab_;
     Node terminal_;
 
-    /** Unique id for the thread-local context lookup; survives address
-     *  reuse after a Package is destroyed. */
-    const std::uint64_t serial_;
+    /** The unique table: open addressing, nullptr = empty slot.
+     *  Deletion happens only in the GC sweep, which rebuilds it. */
+    std::vector<Node *> slots_;
+    size_t mask_ = 0;
+    /** Nodes in the table, i.e. live nodes. */
+    size_t live_ = 0;
+    /** Initial slot count; a sweep never shrinks the table below it. */
+    size_t min_capacity_ = 0;
+    /** Node storage; a deque keeps Node* stable as it grows. */
+    std::deque<Node> arena_;
+    Node *free_list_ = nullptr;
+    size_t free_count_ = 0;
 
-    std::deque<UniqueShard> shards_;
+    std::vector<MulSlot> mul_cache_;
+    std::vector<AddSlot> add_cache_;
+    std::vector<CtSlot> ct_cache_;
+    std::unordered_map<const Node *, double> mag_cache_;
 
-    mutable std::mutex ctx_mu_;
-    mutable std::vector<std::unique_ptr<WorkerContext>> contexts_;
-
-    mutable std::mutex gc_mu_;
-    std::condition_variable gc_cv_;
-    std::atomic<bool> gc_requested_{false};
-    size_t active_mutators_ = 0; ///< sessions at depth >= 1 (gc_mu_)
-    size_t parked_ = 0;          ///< sessions parked at a safe point
-    std::uint64_t gc_generation_ = 0;
-    std::uint32_t mark_epoch_ = 0; ///< touched only by the sweeper
-
-    /** Reclaimed nodes across every shard; lets allocNode skip the
-     *  steal scan entirely while all free lists are empty. */
-    std::atomic<size_t> free_total_{0};
-    std::atomic<size_t> live_nodes_{0};
-    std::atomic<size_t> peak_nodes_{0};
-    std::atomic<size_t> gc_runs_{0};
-    std::atomic<size_t> gc_threshold_;
-    std::atomic<size_t> min_gc_threshold_;
+    PackageStats stats_;
+    std::uint32_t mark_epoch_ = 0;
+    size_t gc_threshold_;
+    size_t min_gc_threshold_;
 };
 
 } // namespace qsyn::dd

@@ -103,24 +103,19 @@ Edge
 VectorEngine::applyCircuit(const Circuit &circuit, const Edge &state,
                            const std::vector<Edge> &live)
 {
-    // GC only through the session protocol: on a shared package a
-    // direct sweep could free nodes another worker is multiplying.
-    Package::Session session(pkg_);
     Edge e = state;
+    // The GC roots: the caller's edges and (last) e.
+    std::vector<Edge> roots = live;
+    roots.push_back(e);
     for (const Gate &g : circuit) {
         if (g.kind() == GateKind::Barrier)
             continue;
         QSYN_ASSERT(g.isUnitary(),
                     "vector simulation requires unitary gates");
         e = applyGate(g, e);
-        if (pkg_.activeNodes() > pkg_.gcThreshold())
-            pkg_.requestGc();
-        if (pkg_.gcPending()) {
-            std::vector<Edge> roots = live;
-            roots.push_back(e);
-            pkg_.safePoint(roots);
+        roots.back() = e;
+        if (pkg_.collectGarbageIfDue(roots))
             matvec_cache_.clear(); // its keys may have been recycled
-        }
     }
     return e;
 }

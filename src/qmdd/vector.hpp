@@ -47,9 +47,9 @@ class VectorEngine
 
     /**
      * Apply a whole circuit (barriers skipped; measures rejected).
-     * Holds a package Session and parks at a GC safe point once the
-     * live set crosses the trigger; `live` lists the other edges the
-     * caller still needs afterwards, which the sweep must keep.
+     * Sweeps the package once the live set crosses the GC trigger;
+     * `live` lists the other edges the caller still needs afterwards,
+     * which the sweep must keep.
      */
     Edge applyCircuit(const Circuit &circuit, const Edge &state,
                       const std::vector<Edge> &live = {});

@@ -139,8 +139,6 @@ Server::start()
     ccfg.dir = config_.cacheDir;
     ccfg.maxDiskBytes = config_.cacheMaxBytes;
     cache_ = std::make_unique<cache::CompileCache>(ccfg);
-    if (config_.shareManager)
-        sharedPackage_ = std::make_unique<dd::Package>();
 
     if (::pipe(wakePipe_) != 0)
         throw UserError("qsynd: cannot create wake pipe");
@@ -603,8 +601,6 @@ Server::handleCompile(const Json &request)
     deadline::check("service admission");
 
     Compiler compiler(device, options);
-    if (sharedPackage_ != nullptr && options.verify != VerifyMode::Off)
-        compiler.setVerifyPackage(sharedPackage_.get());
     std::shared_ptr<const CachedCompile> artifact =
         compiler.compileCached(input, cache_.get());
 
@@ -640,10 +636,8 @@ Server::handleVerify(const Json &request)
     }
     deadline::check("service admission");
 
-    dd::Package local;
-    dd::Package *pkg =
-        sharedPackage_ != nullptr ? sharedPackage_.get() : &local;
-    dd::EquivalenceChecker checker(*pkg);
+    dd::Package pkg;
+    dd::EquivalenceChecker checker(pkg);
     dd::EquivalenceOptions eopts;
     eopts.nodeBudget = 4u << 20;
     dd::Equivalence verdict = checker.check(a, b, eopts);
@@ -678,8 +672,6 @@ Server::handleSimulate(const Json &request)
     }
     deadline::check("service admission");
 
-    // Simulation gets a private package: vector nodes are request-
-    // local and cheap.
     dd::Package pkg;
     dd::VectorEngine engine(pkg);
     Qubit n = circuit.numQubits();

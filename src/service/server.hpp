@@ -1,12 +1,13 @@
 /**
  * @file
  * The qsynd compile server: a long-lived front end over the compile
- * pipeline that keeps every scaling layer warm across requests — one
- * shared two-tier CompileCache (content-addressed memoization +
- * single-flight dedup), one shared concurrent dd::Package (so
- * verifications of similar circuits reuse each other's node
- * universes), and the process-global obs metrics registry served live
- * through the `stats` op.
+ * pipeline that keeps its caches warm across requests — one shared
+ * two-tier CompileCache (content-addressed memoization + single-flight
+ * dedup) and the process-global obs metrics registry served live
+ * through the `stats` op. QMDD state is not shared: every compile,
+ * verify and simulate request checks on a dd::Package of its own,
+ * created and destroyed on the request's thread, so no package
+ * outlives its request.
  *
  * Concurrency model: one accept thread plus one thread per
  * connection. Connections are cheap (blocking reads, no business
@@ -17,9 +18,9 @@
  * `overloaded` response — the daemon never silently hangs a client.
  *
  * Per-request limits (maxQubits, maxGates, deadlineSeconds) are
- * checked after parsing and enforced cooperatively: the deadline uses
- * the same per-gate safe-point poll as QMDD garbage collection (see
- * common/deadline.hpp), so a runaway compile unwinds cleanly and the
+ * checked after parsing and enforced cooperatively: the deadline is
+ * polled after every gate, next to the QMDD garbage-collection check
+ * (see common/deadline.hpp), so a runaway compile unwinds cleanly and the
  * daemon answers the next request.
  *
  * Shutdown (Server::stop, triggered by SIGTERM in qsynd) is a drain:
@@ -73,8 +74,6 @@ struct ServerConfig
      *  only — still warm across requests). */
     std::string cacheDir;
     std::uint64_t cacheMaxBytes = 256ull << 20;
-    /** Share one concurrent QMDD package across all verifications. */
-    bool shareManager = true;
 };
 
 /** Point-in-time service counters (the `health` response). */
@@ -182,7 +181,6 @@ class Server
 
     // Warm shared state.
     std::unique_ptr<cache::CompileCache> cache_;
-    std::unique_ptr<dd::Package> sharedPackage_;
 
     // Admission gate.
     mutable std::mutex admitMu_;

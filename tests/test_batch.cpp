@@ -100,8 +100,9 @@ TEST(BatchCompiler, ResultsAreIdenticalAcrossWorkerCounts)
     for (size_t i = 0; i < circuits.size(); ++i) {
         ASSERT_TRUE(one[i].ok) << one[i].error;
         ASSERT_TRUE(four[i].ok) << four[i].error;
-        // The compiler is deterministic and workers share no state, so
-        // the emitted QASM must be byte-identical per input slot.
+        // The compiler is deterministic and workers share no state
+        // (each verifies on a QMDD package of its own), so the emitted
+        // QASM must be byte-identical per input slot.
         EXPECT_FALSE(one[i].qasm.empty());
         EXPECT_EQ(one[i].qasm, four[i].qasm) << "circuit " << i;
         EXPECT_EQ(one[i].result.optimizedM.gates,
@@ -109,79 +110,6 @@ TEST(BatchCompiler, ResultsAreIdenticalAcrossWorkerCounts)
     }
     EXPECT_EQ(par.summary().succeeded, circuits.size());
     EXPECT_EQ(par.summary().failed, 0u);
-}
-
-TEST(BatchCompiler, SharedAndPrivateManagersEmitIdenticalBytes)
-{
-    // The shared concurrent package is a verification-side
-    // optimization only: with 8 workers racing on one node store, the
-    // emitted QASM and stage metrics must still be byte-for-byte what
-    // fully-isolated private packages produce.
-    std::vector<Circuit> circuits = makeSuite(6);
-    Device dev = builtinDevice("ibmqx4");
-
-    BatchCompiler shared(dev);
-    shared.setShareManager(true);
-    std::vector<BatchItem> a = shared.compileCircuits(circuits, 8);
-
-    BatchCompiler priv(dev);
-    priv.setShareManager(false);
-    std::vector<BatchItem> b = priv.compileCircuits(circuits, 8);
-
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        ASSERT_TRUE(a[i].ok) << a[i].error;
-        ASSERT_TRUE(b[i].ok) << b[i].error;
-        EXPECT_FALSE(a[i].qasm.empty());
-        EXPECT_EQ(a[i].qasm, b[i].qasm) << "circuit " << i;
-        EXPECT_EQ(a[i].result.optimizedM.gates,
-                  b[i].result.optimizedM.gates);
-    }
-    EXPECT_EQ(shared.summary().succeeded, circuits.size());
-}
-
-TEST(BatchCompiler, SharedManagerLeavesCacheFingerprintsUnchanged)
-{
-    // Regression guard for the cache contract: whether verification
-    // ran on the shared or a private package is NOT part of the
-    // compile fingerprint, so entries stored by one mode are served
-    // verbatim to the other.
-    std::vector<Circuit> circuits = makeSuite(4);
-    Device dev = builtinDevice("ibmqx4");
-
-    std::string dir = ::testing::TempDir() + "batch_share_cache";
-    std::filesystem::remove_all(dir);
-    cache::CacheConfig cfg;
-    cfg.dir = dir;
-    cache::CompileCache store(cfg);
-
-    BatchCompiler shared(dev);
-    shared.setShareManager(true);
-    shared.setCache(&store);
-    std::vector<BatchItem> warm = shared.compileCircuits(circuits, 4);
-    EXPECT_EQ(store.stats().hits, 0u);
-    EXPECT_EQ(store.stats().stores, circuits.size());
-
-    BatchCompiler priv(dev);
-    priv.setShareManager(false);
-    priv.setCache(&store);
-    std::vector<BatchItem> served = priv.compileCircuits(circuits, 4);
-    EXPECT_EQ(store.stats().hits, circuits.size());
-    for (size_t i = 0; i < circuits.size(); ++i) {
-        ASSERT_TRUE(warm[i].ok) << warm[i].error;
-        ASSERT_TRUE(served[i].ok) << served[i].error;
-        EXPECT_EQ(warm[i].qasm, served[i].qasm) << "circuit " << i;
-    }
-
-    // Same claim at the key level: the fingerprint domain is circuit,
-    // device, options, salt — nothing the share-manager switch touches.
-    for (const Circuit &c : circuits)
-        EXPECT_EQ(cache::compileCacheKey(c, dev, shared.options(),
-                                         cache::kCacheVersionSalt),
-                  cache::compileCacheKey(c, dev, priv.options(),
-                                         cache::kCacheVersionSalt));
-
-    std::filesystem::remove_all(dir);
 }
 
 TEST(BatchCompiler, CompileFilesIsolatesFailures)
@@ -233,7 +161,6 @@ TEST(BatchCompiler, PublishesBatchMetrics)
     EXPECT_GT(m.gauge("batch.qmdd.peak_nodes"), 0.0);
     EXPECT_GT(m.gauge("batch.qmdd.unique_hit_rate"), 0.0);
     EXPECT_LE(m.gauge("batch.qmdd.unique_hit_rate"), 1.0);
-    EXPECT_DOUBLE_EQ(m.gauge("batch.share_manager"), 1.0);
 }
 
 TEST(BatchCompiler, SummaryTimesAreCoherent)
@@ -254,7 +181,7 @@ TEST(BatchCompiler, JobDeadlineCancelsHugeCircuitCooperatively)
     // A deliberately huge circuit: 4000 gates cannot be decomposed,
     // routed, optimized and verified in 10 ms. The optimizer's
     // per-round deadline poll is usually the one that fires; the
-    // verifier polls at its per-gate GC safe point too. Either way
+    // verifier polls after every gate too. Either way
     // the item must come back as a diagnosed timeout — not a hang,
     // not a crash, and without poisoning its neighbors.
     std::vector<Circuit> circuits;

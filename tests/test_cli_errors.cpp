@@ -236,6 +236,31 @@ TEST(QsyncFigures, ScheduleAndAnalyzeAgreeOnDepth)
     }
 }
 
+TEST(QsyncFigures, BarrierFileVerifiesLikeItsPlainTwin)
+{
+    // A barrier acts as the identity, so qsync verifies a file that
+    // holds one exactly like the same file without it, and qverify
+    // finds the two equivalent.
+    const std::string head =
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\n";
+    const std::string tail = "cx q[0], q[1];\nccx q[0], q[1], q[2];\n";
+    std::string fenced =
+        scratchFile("fenced.qasm", head + "barrier q;\n" + tail);
+    std::string plain = scratchFile("plain.qasm", head + tail);
+    for (const std::string &file : {fenced, plain}) {
+        RunResult res = runTool("qsync", "--no-emit " + file);
+        ASSERT_EQ(res.exitCode, 0) << res.output;
+        size_t at = res.output.find("verification:");
+        ASSERT_NE(at, std::string::npos) << file << "\n" << res.output;
+        std::string line =
+            res.output.substr(at, res.output.find('\n', at) - at);
+        std::erase(line, ' ');
+        EXPECT_EQ(line, "verification:equivalent") << file;
+    }
+    RunResult res = runTool("qverify", fenced + " " + plain);
+    EXPECT_EQ(res.exitCode, 0) << res.output;
+}
+
 // ---------------------------------------------------------------------
 // qverify
 // ---------------------------------------------------------------------

@@ -356,7 +356,7 @@ TEST(ObsMetrics, PackagePublishesAllocatorAndTableInternals)
     EXPECT_GE(m.gauge("qmdd.unique_load_factor"), 0.0);
     EXPECT_LT(m.gauge("qmdd.unique_load_factor"), 1.0);
     EXPECT_GE(m.gauge("qmdd.unique_rehashes"), 1.0);
-    // Compute-cache footprint: this thread's one context.
+    // Compute-cache footprint: the package's own caches.
     EXPECT_GT(m.gauge("qmdd.compute_cache_bytes"), 0.0);
     EXPECT_DOUBLE_EQ(m.gauge("qmdd.compute_cache_bytes"),
                      static_cast<double>(pkg.computeCacheBytes()));

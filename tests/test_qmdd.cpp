@@ -260,7 +260,7 @@ TEST(Qmdd, GarbageCollectionKeepsRoots)
     DenseMatrix before = denseOf(c);
 
     size_t live_before = pkg.activeNodes();
-    pkg.collectGarbage({e});
+    pkg.collectGarbage({&e, 1});
     EXPECT_LE(pkg.activeNodes(), live_before);
     // The root must still decode to the same matrix after the sweep.
     expectMatchesDense(pkg, e, before, 5);
@@ -283,20 +283,21 @@ TEST(Qmdd, StatsCountOperations)
 
 TEST(Qmdd, DefaultComputeCachesStaySmall)
 {
-    // compile() verifies on a fresh package, which zeroes a thread's
-    // caches on its first call (allocating them unless an earlier
-    // package on the thread left its slots): the default geometry is
-    // paid per compile, so it must stay within the 1 MiB per thread
-    // that PackageConfig and docs/performance.md budget.
+    // compile() verifies on a fresh package, which zeroes its caches
+    // when it is created (allocating them unless an earlier package on
+    // the thread left its slots): the default geometry is paid per
+    // compile, so it must stay within the 1 MiB per package that
+    // PackageConfig and docs/performance.md budget.
     Package pkg;
-    EXPECT_EQ(pkg.computeCacheBytes(), 0u);
+    const size_t bytes = pkg.computeCacheBytes();
+    EXPECT_GT(bytes, 0u);
+    EXPECT_LE(bytes, size_t{1} << 20);
     Circuit c(2);
     c.addH(0);
     c.addCnot(0, 1);
     (void)pkg.buildCircuit(c);
     ASSERT_GT(pkg.stats().multiplies, 0u);
-    EXPECT_GT(pkg.computeCacheBytes(), 0u);
-    EXPECT_LE(pkg.computeCacheBytes(), size_t{1} << 20);
+    EXPECT_EQ(pkg.computeCacheBytes(), bytes);
 }
 
 TEST(Qmdd, DdAgreesWithSimulatorOnRandomStates)
@@ -536,11 +537,11 @@ TEST(Qmdd, ComputeCachesAreNotStaleAfterGc)
 
 TEST(Qmdd, RecycledCacheSlotsStartEmpty)
 {
-    // A destroyed package leaves its thread's cache slots to the
-    // thread's next package. They are keyed by node addresses the next
-    // package may reuse, so it must find them empty: the same build
-    // then makes the same lookups and hits as the first, and gives the
-    // same matrix.
+    // A destroyed package leaves its cache slots and its unique
+    // table's slot array to the thread's next package. They hold node
+    // addresses the next package may reuse, so it must find them
+    // empty: the same build then makes the same lookups and hits as
+    // the first, and gives the same matrix.
     Rng rng(37);
     RandomCircuitOptions opts;
     opts.numQubits = 3;
@@ -555,9 +556,13 @@ TEST(Qmdd, RecycledCacheSlotsStartEmpty)
         first_bytes = first.computeCacheBytes();
     }
     Package second;
+    // A sweep of the still empty package finds no node to free.
+    second.collectGarbage({});
+    EXPECT_EQ(second.freeListLength(), 0u);
     Edge e = second.buildCircuit(c);
     EXPECT_EQ(second.computeCacheBytes(), first_bytes);
     EXPECT_EQ(second.stats().computeLookups, first_stats.computeLookups);
     EXPECT_EQ(second.stats().computeHits, first_stats.computeHits);
+    EXPECT_EQ(second.stats().uniqueHits, first_stats.uniqueHits);
     expectMatchesDense(second, e, denseOf(c), 3);
 }

@@ -257,8 +257,8 @@ TEST(ServiceE2E, HealthStatsAndCompile)
     service::Json s = client.call(stats);
     ASSERT_TRUE(s.boolOr("ok", false));
     EXPECT_EQ(s.stringOr("metrics", "").rfind("{", 0), 0u);
-    // The compile verified on the shared package, which published its
-    // gauges.
+    // The compile verified on a package of its own, which published
+    // its gauges.
     EXPECT_NE(s.stringOr("metrics", "").find("qmdd.compute_cache_bytes"),
               std::string::npos);
     const service::Json *cache = s.find("cache");

@@ -1,9 +1,10 @@
 /**
  * @file
  * qsynd: the qsyn compile-server daemon. Binds a Unix-domain socket
- * (and optionally a loopback TCP port), keeps the compile cache and a
- * shared QMDD package warm across requests, and serves the
- * length-prefixed JSON protocol documented in service/protocol.hpp.
+ * (and optionally a loopback TCP port), keeps the compile cache warm
+ * across requests, and serves the length-prefixed JSON protocol
+ * documented in service/protocol.hpp. Each request verifies or
+ * simulates on a QMDD package of its own.
  *
  * SIGTERM/SIGINT trigger a graceful drain: no new work is accepted,
  * every admitted request finishes and gets its response, then the
@@ -55,7 +56,6 @@ const char *kHelp =
     "      --cache-dir <dir>    persistent compile-cache directory\n"
     "                           (default: memory tier only)\n"
     "      --cache-max-mb <n>   on-disk cache budget (default 256)\n"
-    "      --no-share-manager   private QMDD package per request\n"
     "      --metrics-prom <f>   rewrite Prometheus text exposition\n"
     "                           here every --stats-interval seconds\n"
     "      --stats-interval <s> metrics file refresh period\n"
@@ -133,8 +133,6 @@ main(int argc, char **argv)
                 cacheMaxMb = cli::parseCountValue(arg, next(arg));
                 if (cacheMaxMb == 0)
                     throw UserError("--cache-max-mb must be >= 1");
-            } else if (arg == "--no-share-manager") {
-                config.shareManager = false;
             } else if (arg == "--metrics-prom") {
                 metricsPromPath = next(arg);
             } else if (arg == "--stats-interval") {

@@ -7,9 +7,9 @@
  * usage: qverify [options] <a.{qasm,qc,real}> <b.{qasm,qc,real}>...
  *
  * More than two files are checked as consecutive pairs (a b c d =
- * a-vs-b and c-vs-d), optionally in parallel with --jobs; the pairs
- * share one QMDD package unless --no-share-manager gives each its
- * own, and verdicts print in input order.
+ * a-vs-b and c-vs-d), optionally in parallel with --jobs; each pair
+ * is checked on a QMDD package of its own, and verdicts print in
+ * input order.
  *
  * Exit code 0: all equivalent; 1: any not equivalent; 2: any
  * inconclusive, or a usage/internal error.
@@ -50,10 +50,8 @@ printHelp()
            "projector onto |0> of the --ancilla wires.\n\n"
            "options:\n"
            "  -j, --jobs <n>     check pairs on n worker threads\n"
-           "                     (0 = one per core)\n"
-           "  --share-manager    workers check against one shared\n"
-           "                     QMDD package (default)\n"
-           "  --no-share-manager private QMDD package per pair\n"
+           "                     (0 = one per core), each pair on a\n"
+           "                     QMDD package of its own\n"
            "  --strict           require exact equality (no global "
            "phase slack)\n"
            "  --ancilla <list>   comma-separated wires required |0> at\n"
@@ -135,7 +133,6 @@ main(int argc, char **argv)
     std::string cache_dir;
     bool use_cache = true;
     size_t jobs = 1;
-    bool share_manager = true;
     dd::EquivalenceOptions options;
     options.quickRefuteSamples = 4;
 
@@ -158,10 +155,6 @@ main(int argc, char **argv)
                 options.nodeBudget = cli::parseCountValue(arg, next());
             } else if (arg == "-j" || arg == "--jobs") {
                 jobs = cli::parseCountValue(arg, next());
-            } else if (arg == "--share-manager") {
-                share_manager = true;
-            } else if (arg == "--no-share-manager") {
-                share_manager = false;
             } else if (arg == "--no-quick-refute") {
                 options.quickRefuteSamples = 0;
             } else if (arg == "--cache-dir") {
@@ -217,7 +210,6 @@ main(int argc, char **argv)
         };
         const size_t pairs = files.size() / 2;
         std::vector<PairOutcome> outcomes(pairs);
-        dd::Package last_pkg; // 2-file mode: metrics come from here
 
         // Persistent verdict memoization: one byte per (pair, options)
         // fingerprint, sharing the compile cache's store machinery.
@@ -261,16 +253,14 @@ main(int argc, char **argv)
                         return;
                     }
                 }
-                // Default: every pair checks against the one shared
-                // (concurrent) package, so common subcircuits across
-                // pairs hit warm tables. --no-share-manager isolates
-                // each pair in its own package instead.
-                dd::Package local_pkg;
-                dd::Package &pkg = share_manager || pairs == 1
-                                       ? last_pkg
-                                       : local_pkg;
+                dd::Package pkg;
                 dd::EquivalenceChecker checker(pkg);
                 res.verdict = checker.check(a, b, options);
+                // Per-package gauges only make sense for a single pair,
+                // which runs on the main thread; trace spans from all
+                // pairs are in the sink regardless.
+                if (pairs == 1)
+                    pkg.publishMetrics();
                 out_os << dd::equivalenceName(res.verdict) << "\n";
                 err_os << "checked in " << sw.seconds() << " s ("
                        << pkg.activeNodes() << " live nodes)\n";
@@ -304,10 +294,6 @@ main(int argc, char **argv)
                 any_inconclusive = true;
         }
         if (observing) {
-            // Per-package gauges only make sense for a single pair;
-            // trace spans from all pairs are in the sink regardless.
-            if (pairs == 1 && !outcomes[0].errored)
-                last_pkg.publishMetrics();
             obs::installSink(nullptr);
             writeObsFiles(obs_sink, trace_path, metrics_path,
                           prom_path);
