@@ -34,13 +34,9 @@ timingCell(const CompileResult &result)
 }
 
 CompileResult
-compileForTable(const Circuit &input, const Device &device,
-                size_t verify_budget)
+compileForTable(const Circuit &input, const Device &device)
 {
-    CompileOptions options;
-    if (verify_budget != 0)
-        options.verifyNodeBudget = verify_budget;
-    Compiler compiler(device, options);
+    Compiler compiler(device, CompileOptions{});
     return compiler.compile(input);
 }
 

@@ -23,9 +23,7 @@ std::string timingCell(const CompileResult &result);
 /**
  * Compile `input` for `device` with default options (Eqn. 2 weights,
  * identity placement, CTR routing, full optimization + verification).
- * `verify_budget` caps the QMDD size (0 keeps the default).
  */
-CompileResult compileForTable(const Circuit &input, const Device &device,
-                              size_t verify_budget = 0);
+CompileResult compileForTable(const Circuit &input, const Device &device);
 
 } // namespace qsyn::bench

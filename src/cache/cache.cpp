@@ -32,6 +32,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** In-process tier capacity (whole artifacts, shared_ptr'd). */
+constexpr size_t kMaxMemoryEntries = 64;
+
 /** Record a `*.latency_us` histogram sample (microsecond rule). */
 void
 observeLatencyUs(const char *name, Clock::time_point since)
@@ -69,7 +72,7 @@ CompileCache::insertMemoryLocked(
     }
     lru_.emplace_front(key, std::move(value));
     memory_[key] = lru_.begin();
-    while (memory_.size() > config_.maxMemoryEntries && !lru_.empty()) {
+    while (memory_.size() > kMaxMemoryEntries && !lru_.empty()) {
         memory_.erase(lru_.back().first);
         lru_.pop_back();
     }

@@ -38,8 +38,6 @@ struct CacheConfig
     std::string dir;
     /** Disk byte budget before LRU eviction. */
     std::uint64_t maxDiskBytes = 256ull << 20;
-    /** In-process tier capacity (whole artifacts, shared_ptr'd). */
-    size_t maxMemoryEntries = 64;
     /** Fingerprint salt; override in tests to simulate a release. */
     std::string versionSalt = kCacheVersionSalt;
 };

@@ -119,7 +119,6 @@ mixCompileOptions(Fingerprint &fp, const CompileOptions &options)
     fp.mixU64(static_cast<std::uint64_t>(options.mcxStrategy));
     fp.mixU64(static_cast<std::uint64_t>(options.placement));
     fp.mixU64(static_cast<std::uint64_t>(options.routing.router));
-    fp.mixU64(options.routing.sabreWindow);
     fp.mixU64(options.routing.fidelityAware ? 1 : 0);
     fp.mixU64(options.routing.testOmitSwapBack ? 1 : 0);
     fp.mixU64(options.optimize ? 1 : 0);
@@ -129,14 +128,8 @@ mixCompileOptions(Fingerprint &fp, const CompileOptions &options)
     fp.mixDouble(o.weights.tWeight);
     fp.mixDouble(o.weights.cnotWeight);
     fp.mixDouble(o.weights.gateWeight);
-    fp.mixU64(o.enableCancellation ? 1 : 0);
-    fp.mixU64(o.enableRotationMerge ? 1 : 0);
-    fp.mixU64(o.enableHadamardRules ? 1 : 0);
     fp.mixU64(o.enableWindowIdentity ? 1 : 0);
     fp.mixU64(o.enablePhasePolynomial ? 1 : 0);
-    fp.mixU64(static_cast<std::uint64_t>(o.windowQubits));
-    fp.mixU64(o.windowGates);
-    fp.mixU64(static_cast<std::uint64_t>(o.maxRounds));
     // collectPassStats / capturePassCircuits change the report's
     // optimizer_passes content, so they are part of the key even
     // though the emitted circuit is identical either way.
@@ -176,7 +169,6 @@ equivalenceCacheKey(const Circuit &a, const Circuit &b,
     for (Qubit q : options.ancillaWires)
         fp.mixU64(q);
     fp.mixU64(options.nodeBudget);
-    fp.mixDouble(options.approxEps);
     fp.mixU64(options.quickRefuteSamples);
     return fp.hex();
 }

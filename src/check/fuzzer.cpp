@@ -84,7 +84,9 @@ generateCase(Rng &rng, const FuzzOptions &opts, std::uint64_t case_seed)
 {
     FuzzCase fc;
 
-    if (rng.chance(opts.randomDeviceFraction)) {
+    // Half the cases target a random connected device, half a
+    // built-in machine.
+    if (rng.chance(0.5)) {
         Qubit lo = 3;
         Qubit hi = std::max<Qubit>(
             lo, std::min<Qubit>(8, opts.maxQubits + 2));

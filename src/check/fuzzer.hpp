@@ -32,9 +32,6 @@ struct FuzzOptions
     /** Input circuit size caps. */
     Qubit maxQubits = 6;
     size_t maxGates = 32;
-    /** Probability a case targets a random connected device rather
-     *  than a built-in machine. */
-    double randomDeviceFraction = 0.5;
     /** Force the hidden CTR swap-back fault into every case (the
      *  deliberate bug --smoke proves the oracle stack catches). */
     bool injectSwapBackFault = false;

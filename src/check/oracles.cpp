@@ -16,6 +16,21 @@
 
 namespace qsyn::check {
 
+namespace {
+
+/** Node budget of the QMDD oracles; exhaustion skips, never fails. */
+constexpr size_t kQmddNodeBudget = size_t{1} << 20;
+/** Widest register the dense statevector oracle simulates. */
+constexpr Qubit kStatevectorMaxQubits = 10;
+/** Random product states pushed through both circuits, and their
+ *  seed. */
+constexpr size_t kStatevectorSamples = 4;
+constexpr std::uint64_t kStimulusSeed = 0x5eed;
+/** Batch worker counts that must produce identical bytes. */
+constexpr size_t kDeterminismJobs[] = {1, 4, 8};
+
+} // namespace
+
 const char *
 oracleName(OracleId id)
 {
@@ -72,8 +87,7 @@ OracleReport::summary() const
 }
 
 OracleOutcome
-checkQmddEquivalence(const CompileResult &result, const Device &device,
-                     const OracleOptions &opts)
+checkQmddEquivalence(const CompileResult &result, const Device &device)
 {
     obs::Span span("check.qmdd", "check");
     OracleOutcome out;
@@ -88,7 +102,7 @@ checkQmddEquivalence(const CompileResult &result, const Device &device,
     dd::EquivalenceChecker checker(pkg);
     dd::EquivalenceOptions eopts;
     eopts.ancillaWires = result.ancillas;
-    eopts.nodeBudget = opts.qmddNodeBudget;
+    eopts.nodeBudget = kQmddNodeBudget;
     dd::Equivalence verdict =
         checker.check(reference, result.optimized, eopts);
     if (verdict == dd::Equivalence::Inconclusive) {
@@ -129,18 +143,16 @@ randomProductPrep(Rng &rng, Qubit num_qubits,
 } // namespace
 
 OracleOutcome
-checkStatevector(const CompileResult &result, const Device &device,
-                 const OracleOptions &opts)
+checkStatevector(const CompileResult &result, const Device &device)
 {
     obs::Span span("check.statevector", "check");
     OracleOutcome out;
     out.id = OracleId::Statevector;
     Qubit n = device.numQubits();
-    if (n > opts.statevectorMaxQubits) {
+    if (n > kStatevectorMaxQubits) {
         out.skipped = true;
         out.details = "register wider than " +
-                      std::to_string(opts.statevectorMaxQubits) +
-                      " qubits";
+                      std::to_string(kStatevectorMaxQubits) + " qubits";
         return out;
     }
     if (!result.input.isUnitary() || !result.optimized.isUnitary()) {
@@ -149,8 +161,8 @@ checkStatevector(const CompileResult &result, const Device &device,
         return out;
     }
     Circuit reference = result.referenceOnDevice(n);
-    Rng rng(opts.stimulusSeed);
-    for (size_t s = 0; s < opts.statevectorSamples; ++s) {
+    Rng rng(kStimulusSeed);
+    for (size_t s = 0; s < kStatevectorSamples; ++s) {
         Circuit prep = randomProductPrep(rng, n, result.ancillas);
         sim::StateVector expect(n);
         expect.apply(prep);
@@ -166,7 +178,7 @@ checkStatevector(const CompileResult &result, const Device &device,
             return out;
         }
     }
-    out.details = std::to_string(opts.statevectorSamples) +
+    out.details = std::to_string(kStatevectorSamples) +
                   " random product states agreed";
     return out;
 }
@@ -245,8 +257,7 @@ checkCostSanity(const CompileResult &result,
 
 OracleOutcome
 checkDeterminism(const Circuit &input, const Device &device,
-                 const CompileOptions &options,
-                 const OracleOptions &opts)
+                 const CompileOptions &options)
 {
     obs::Span span("check.determinism", "check");
     OracleOutcome out;
@@ -254,22 +265,18 @@ checkDeterminism(const Circuit &input, const Device &device,
 
     Compiler compiler(device, options);
     std::string baseline = compiler.toQasm(compiler.compile(input));
-    for (size_t i = 0; i < opts.determinismRecompiles; ++i) {
-        Compiler fresh(device, options);
-        std::string again = fresh.toQasm(fresh.compile(input));
-        if (again != baseline) {
-            out.passed = false;
-            out.details = "recompile " + std::to_string(i + 1) +
-                          " produced different QASM bytes";
-            return out;
-        }
+    Compiler fresh(device, options);
+    if (fresh.toQasm(fresh.compile(input)) != baseline) {
+        out.passed = false;
+        out.details = "recompile 1 produced different QASM bytes";
+        return out;
     }
 
     // Batch invariance: the same inputs through the worker pool must
     // emit the same bytes for every worker count.
     std::vector<Circuit> copies = {input, input, input};
     std::string batch_baseline;
-    for (size_t jobs : opts.determinismJobs) {
+    for (size_t jobs : kDeterminismJobs) {
         BatchCompiler batch(device, options);
         std::vector<BatchItem> items = batch.compileCircuits(copies, jobs);
         std::ostringstream concat;
@@ -346,9 +353,10 @@ checkCacheConsistency(const Circuit &input, const Device &device,
         return out;
     }
 
-    // The cached artifact must match a cold recompile byte for byte —
-    // wall-clock timings excluded, they are measurements of this run,
-    // not cacheable content.
+    // The cached artifact must match a cold recompile byte for byte,
+    // less what measures one run rather than its content: timings, and
+    // QMDD counters, which move with node addresses because the
+    // compute-cache sets hash pointers.
     Compiler cold_compiler(device, options);
     CompileResult cold = cold_compiler.compile(input);
     if (cold_compiler.toQasm(cold) != first->qasm) {
@@ -356,10 +364,9 @@ checkCacheConsistency(const Circuit &input, const Device &device,
         out.details = "cached QASM differs from a cold recompile";
         return out;
     }
-    ReportOptions no_seconds;
-    no_seconds.includeSeconds = false;
-    if (compileReportJson(cold, device, no_seconds) !=
-        compileReportJson(first->result, device, no_seconds)) {
+    const ReportOptions stable = ReportOptions::deterministic();
+    if (compileReportJson(cold, device, stable) !=
+        compileReportJson(first->result, device, stable)) {
         out.passed = false;
         out.details = "cached report JSON differs from a cold recompile";
         return out;
@@ -394,8 +401,7 @@ checkLintClean(const CompileResult &result, const Device &device,
 
 OracleOutcome
 checkRouterDifferential(const CompileResult &result, const Device &device,
-                        const CompileOptions &options,
-                        const OracleOptions &opts)
+                        const CompileOptions &options)
 {
     obs::Span span("check.router", "check");
     OracleOutcome out;
@@ -425,7 +431,7 @@ checkRouterDifferential(const CompileResult &result, const Device &device,
     dd::Package pkg;
     dd::EquivalenceChecker checker(pkg);
     dd::EquivalenceOptions eopts;
-    eopts.nodeBudget = opts.qmddNodeBudget;
+    eopts.nodeBudget = kQmddNodeBudget;
     dd::Equivalence verdict = checker.check(by_ctr, by_sabre, eopts);
     if (verdict == dd::Equivalence::Inconclusive) {
         out.skipped = true;
@@ -457,17 +463,15 @@ runAllOracles(const Circuit &input, const Device &device,
     CompileResult result = compiler.compile(input);
 
     OracleReport report;
-    report.outcomes.push_back(checkQmddEquivalence(result, device, opts));
-    report.outcomes.push_back(checkStatevector(result, device, opts));
+    report.outcomes.push_back(checkQmddEquivalence(result, device));
+    report.outcomes.push_back(checkStatevector(result, device));
     report.outcomes.push_back(checkLegality(result, device));
     report.outcomes.push_back(checkCostSanity(result, copts));
     report.outcomes.push_back(checkLintClean(result, device, copts));
-    if (opts.runRouterDifferential)
-        report.outcomes.push_back(
-            checkRouterDifferential(result, device, copts, opts));
+    report.outcomes.push_back(
+        checkRouterDifferential(result, device, copts));
     if (opts.runDeterminism)
-        report.outcomes.push_back(
-            checkDeterminism(input, device, copts, opts));
+        report.outcomes.push_back(checkDeterminism(input, device, copts));
     if (opts.runCache)
         report.outcomes.push_back(
             checkCacheConsistency(input, device, copts));

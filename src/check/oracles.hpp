@@ -17,9 +17,9 @@
  *   determinism  — byte-identical QASM across repeated compiles and
  *                  across batch worker counts;
  *   cache        — a compile served from the compile cache is
- *                  byte-identical (QASM and report JSON) to a cold
- *                  recompile, and the artifact codec round-trips
- *                  exactly;
+ *                  byte-identical to a cold recompile (QASM, and the
+ *                  report JSON less timings and QMDD counters), and
+ *                  the artifact codec round-trips exactly;
  *   lint         — the static analyzer finds nothing wrong with the
  *                  emitted circuit: no non-native gates, no coupling
  *                  violations, and (when the optimizer ran) no
@@ -60,32 +60,15 @@ enum class OracleId
  *  "determinism", "cache", "lint", "router"). */
 const char *oracleName(OracleId id);
 
-/** Tuning knobs shared by the oracle stack. */
+/** Which of the recompiling oracles runAllOracles includes. */
 struct OracleOptions
 {
-    /** Statevector cross-check cap: device registers wider than this
-     *  skip the dense oracle (2^n amplitudes). */
-    Qubit statevectorMaxQubits = 10;
-    /** Random product states pushed through both circuits. */
-    size_t statevectorSamples = 4;
-    /** Seed for the oracle's random stimuli. */
-    std::uint64_t stimulusSeed = 0x5eed;
-    /** Node budget for the QMDD oracle (0 = unlimited). Exhaustion
-     *  yields a skipped outcome, not a failure. */
-    size_t qmddNodeBudget = 1u << 20;
-    /** Extra sequential recompiles the determinism oracle performs. */
-    size_t determinismRecompiles = 1;
-    /** Batch worker counts that must produce identical bytes. */
-    std::vector<size_t> determinismJobs = {1, 4, 8};
     /** Run the (recompiling, comparatively expensive) determinism
      *  oracle as part of runAllOracles. */
     bool runDeterminism = true;
     /** Run the (also recompiling) cache-consistency oracle as part of
      *  runAllOracles. */
     bool runCache = true;
-    /** Run the ctr-vs-sabre routing differential as part of
-     *  runAllOracles. */
-    bool runRouterDifferential = true;
 };
 
 /** Verdict of one oracle on one compile. */
@@ -112,21 +95,30 @@ struct OracleReport
     std::string summary() const;
 };
 
-/** @name Individual oracles. */
+/** @name Individual oracles.
+ * The QMDD checks (qmdd, router) give up past 2^20 live nodes with a
+ * skipped outcome; the statevector oracle pushes 4 seeded random
+ * product states through registers of at most 10 qubits; the
+ * determinism oracle recompiles once and batches under 1, 4 and 8
+ * workers.
+ */
 /// @{
 OracleOutcome checkQmddEquivalence(const CompileResult &result,
-                                   const Device &device,
-                                   const OracleOptions &opts = {});
+                                   const Device &device);
 OracleOutcome checkStatevector(const CompileResult &result,
-                               const Device &device,
-                               const OracleOptions &opts = {});
+                               const Device &device);
 OracleOutcome checkLegality(const CompileResult &result,
                             const Device &device);
 OracleOutcome checkCostSanity(const CompileResult &result,
                               const CompileOptions &options);
 OracleOutcome checkDeterminism(const Circuit &input, const Device &device,
-                               const CompileOptions &options,
-                               const OracleOptions &opts = {});
+                               const CompileOptions &options);
+/**
+ * A cache hit returns the cold compile's bytes, the artifact codec
+ * round-trips the full report, and the cached report renders like a
+ * cold recompile's in ReportOptions::deterministic() form (timings and
+ * QMDD counters are measurements of one run, not cacheable content).
+ */
 OracleOutcome checkCacheConsistency(const Circuit &input,
                                     const Device &device,
                                     const CompileOptions &options);
@@ -152,8 +144,7 @@ OracleOutcome checkLintClean(const CompileResult &result,
  */
 OracleOutcome checkRouterDifferential(const CompileResult &result,
                                       const Device &device,
-                                      const CompileOptions &options,
-                                      const OracleOptions &opts = {});
+                                      const CompileOptions &options);
 /// @}
 
 /**

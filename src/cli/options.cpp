@@ -15,12 +15,8 @@
 #include "obs/expo.hpp"
 #include "obs/flight.hpp"
 #include "common/numeric.hpp"
-#include "common/strings.hpp"
 #include "device/loader.hpp"
 #include "device/registry.hpp"
-#include "esop/cascade.hpp"
-#include "frontend/loader.hpp"
-#include "frontend/pla_parser.hpp"
 #include "decompose/rebase.hpp"
 #include "frontend/circuit_drawer.hpp"
 #include "frontend/qasm_writer.hpp"
@@ -71,6 +67,90 @@ parseCountValue(const std::string &flag, const std::string &value)
     return static_cast<size_t>(v);
 }
 
+obs::LogLevel
+parseLogLevelValue(const std::string &value)
+{
+    obs::LogLevel level;
+    if (!obs::parseLogLevel(value, &level))
+        throw UserError("unknown log level '" + value +
+                        "' (quiet|info|debug|trace)");
+    return level;
+}
+
+bool
+parseObsFlag(const std::string &flag,
+             const std::function<std::string()> &value, ObsFlags *flags)
+{
+    if (flag == "--trace-json")
+        flags->tracePath = value();
+    else if (flag == "--metrics-json")
+        flags->metricsPath = value();
+    else if (flag == "--metrics-prom")
+        flags->metricsPromPath = value();
+    else if (flag == "--crash-dump")
+        flags->crashDumpDir = value();
+    else if (flag == "--log-level")
+        flags->logLevel = parseLogLevelValue(value());
+    else
+        return false;
+    return true;
+}
+
+ObsSession::ObsSession(ObsFlags flags, std::string_view threadName)
+    : flags_(std::move(flags)),
+      installed_(!flags_.tracePath.empty() || !flags_.metricsPath.empty() ||
+                 !flags_.metricsPromPath.empty())
+{
+    if (flags_.logLevel)
+        obs::setLogLevel(*flags_.logLevel);
+    // The flight recorder is always on for tool runs (one relaxed
+    // store per span event); --crash-dump additionally arms the signal
+    // handler that turns the ring into qsyn-crash-<pid>.json.
+    obs::flight::setRecording(true);
+    if (!flags_.crashDumpDir.empty()) {
+        obs::flight::CrashConfig crash_config;
+        crash_config.dir = flags_.crashDumpDir;
+        obs::flight::installCrashHandler(crash_config);
+    }
+    if (installed_)
+        obs::installSink(&sink_);
+    obs::nameCurrentThread(threadName);
+}
+
+ObsSession::~ObsSession()
+{
+    if (installed_)
+        obs::installSink(nullptr);
+}
+
+void
+ObsSession::writeFiles(std::ostream &err)
+{
+    if (!flags_.tracePath.empty()) {
+        std::ofstream trace(flags_.tracePath);
+        if (!trace)
+            throw UserError("cannot write trace '" + flags_.tracePath +
+                            "'");
+        trace << sink_.traceJson();
+        err << "wrote " << flags_.tracePath << "\n";
+    }
+    if (!flags_.metricsPath.empty()) {
+        std::ofstream metrics(flags_.metricsPath);
+        if (!metrics)
+            throw UserError("cannot write metrics '" +
+                            flags_.metricsPath + "'");
+        metrics << sink_.metricsJson();
+        err << "wrote " << flags_.metricsPath << "\n";
+    }
+    if (!flags_.metricsPromPath.empty()) {
+        std::string prom_error;
+        if (!obs::writePrometheusFile(sink_.metrics(),
+                                      flags_.metricsPromPath, &prom_error))
+            throw UserError("cannot write metrics: " + prom_error);
+        err << "wrote " << flags_.metricsPromPath << "\n";
+    }
+}
+
 CliOptions
 parseCliArguments(const std::vector<std::string> &args)
 {
@@ -84,6 +164,8 @@ parseCliArguments(const std::vector<std::string> &args)
 
     for (; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        if (parseObsFlag(arg, [&] { return next_value(arg); }, &opts.obs))
+            continue;
         if (arg == "-h" || arg == "--help") {
             opts.showHelp = true;
         } else if (arg == "--list-devices") {
@@ -150,32 +232,17 @@ parseCliArguments(const std::vector<std::string> &args)
             opts.analyze = true;
         } else if (arg == "--report") {
             opts.reportPath = next_value(arg);
-        } else if (arg == "--trace-json") {
-            opts.tracePath = next_value(arg);
-        } else if (arg == "--metrics-json") {
-            opts.metricsPath = next_value(arg);
-        } else if (arg == "--metrics-prom") {
-            opts.metricsPromPath = next_value(arg);
         } else if (arg == "--stats-interval") {
             opts.statsIntervalSeconds =
                 parseDoubleValue(arg, next_value(arg));
             if (opts.statsIntervalSeconds < 0.0)
                 throw UserError("--stats-interval must be >= 0");
-        } else if (arg == "--crash-dump") {
-            opts.crashDumpDir = next_value(arg);
         } else if (arg == "--test-crash") {
             // Hidden fault-injection flag (absent from --help): abort()
             // after the compile so the crash-dump subprocess test has a
             // deterministic crash; see --test-omit-swap-back for the
             // pattern.
             opts.testCrash = true;
-        } else if (arg == "--log-level") {
-            std::string value = next_value(arg);
-            obs::LogLevel level;
-            if (!obs::parseLogLevel(value, &level))
-                throw UserError("unknown log level '" + value +
-                                "' (quiet|info|debug|trace)");
-            opts.logLevel = level;
         } else if (arg == "--rebase") {
             std::string value = next_value(arg);
             if (value != "cz" && value != "cnot")
@@ -231,8 +298,9 @@ parseCliArguments(const std::vector<std::string> &args)
         }
         if (!opts.remoteSocket.empty()) {
             // Remote mode ships sources to the daemon and relays its
-            // bytes; anything that needs local pipeline internals
-            // cannot be honored and is rejected, not ignored.
+            // bytes; anything that needs local pipeline internals, or
+            // a compile option the request cannot carry, cannot be
+            // honored and is rejected, not ignored.
             auto remoteReject = [](bool bad, const char *flag) {
                 if (bad)
                     throw UserError(
@@ -244,13 +312,33 @@ parseCliArguments(const std::vector<std::string> &args)
             remoteReject(opts.drawCircuits, "--draw");
             remoteReject(opts.printSchedule, "--schedule");
             remoteReject(opts.analyze, "--analyze");
-            remoteReject(!opts.tracePath.empty(), "--trace-json");
-            remoteReject(!opts.metricsPath.empty(), "--metrics-json");
-            remoteReject(!opts.metricsPromPath.empty(),
+            remoteReject(!opts.obs.tracePath.empty(), "--trace-json");
+            remoteReject(!opts.obs.metricsPath.empty(), "--metrics-json");
+            remoteReject(!opts.obs.metricsPromPath.empty(),
                          "--metrics-prom");
             remoteReject(!opts.rebase.empty(), "--rebase");
             remoteReject(!opts.cacheDir.empty(), "--cache-dir");
             remoteReject(opts.testCrash, "--test-crash");
+            const CompileOptions defaults;
+            const CompileOptions &c = opts.compile;
+            const opt::CostWeights &w = c.optimizer.weights;
+            const opt::CostWeights &dw = defaults.optimizer.weights;
+            remoteReject(c.mcxStrategy != defaults.mcxStrategy, "--mcx");
+            remoteReject(c.optimizer.enablePhasePolynomial !=
+                             defaults.optimizer.enablePhasePolynomial,
+                         "--phase-poly");
+            remoteReject(w.tWeight != dw.tWeight, "--weight-t");
+            remoteReject(w.cnotWeight != dw.cnotWeight, "--weight-cnot");
+            remoteReject(w.gateWeight != dw.gateWeight, "--weight-gate");
+            remoteReject(c.routing.fidelityAware !=
+                             defaults.routing.fidelityAware,
+                         "--fidelity-aware");
+            remoteReject(c.optimizeTechIndependent !=
+                             defaults.optimizeTechIndependent,
+                         "--no-ti-optimize");
+            remoteReject(c.routing.testOmitSwapBack !=
+                             defaults.routing.testOmitSwapBack,
+                         "--test-omit-swap-back");
         }
     }
     return opts;
@@ -336,37 +424,6 @@ cliHelpText()
         "  -h, --help               this text\n";
 }
 
-namespace {
-
-/** Installs a Sink for the run when any observability output was
- *  requested; uninstalls on scope exit (exceptions included). */
-class SinkInstallation
-{
-  public:
-    explicit SinkInstallation(bool enable) : installed_(enable)
-    {
-        if (installed_)
-            obs::installSink(&sink_);
-    }
-    ~SinkInstallation()
-    {
-        if (installed_)
-            obs::installSink(nullptr);
-    }
-
-    SinkInstallation(const SinkInstallation &) = delete;
-    SinkInstallation &operator=(const SinkInstallation &) = delete;
-
-    bool installed() const { return installed_; }
-    obs::Sink &sink() { return sink_; }
-
-  private:
-    obs::Sink sink_;
-    bool installed_;
-};
-
-} // namespace
-
 int
 runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
 {
@@ -380,22 +437,7 @@ runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
         out << "simulator (any size; no coupling restrictions)\n";
         return 0;
     }
-    if (options.logLevel)
-        obs::setLogLevel(*options.logLevel);
-    // The flight recorder is always on for tool runs (one relaxed
-    // store per span event); --crash-dump additionally arms the signal
-    // handler that turns the ring into qsyn-crash-<pid>.json.
-    obs::flight::setRecording(true);
-    if (!options.crashDumpDir.empty()) {
-        obs::flight::CrashConfig crash_config;
-        crash_config.dir = options.crashDumpDir;
-        obs::flight::installCrashHandler(crash_config);
-    }
-    SinkInstallation obs_install(!options.tracePath.empty() ||
-                                 !options.metricsPath.empty() ||
-                                 !options.metricsPromPath.empty() ||
-                                 options.statsIntervalSeconds > 0.0);
-    obs::nameCurrentThread("qsync-main");
+    ObsSession session(options.obs, "qsync-main");
 
     if (!options.remoteSocket.empty())
         return runRemote(options, out, err);
@@ -446,7 +488,7 @@ runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
             batch.setJobDeadline(options.deadlineSeconds);
             batch.setCache(compile_cache.get());
             batch.setStatsInterval(options.statsIntervalSeconds,
-                                   options.metricsPromPath);
+                                   options.obs.metricsPromPath);
             std::vector<BatchItem> items =
                 batch.compileFiles(options.inputs, options.jobs);
             const BatchSummary &sum = batch.summary();
@@ -489,31 +531,7 @@ runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
             batch.publishMetrics();
             if (compile_cache != nullptr)
                 compile_cache->publishMetrics();
-            if (!options.tracePath.empty()) {
-                std::ofstream trace(options.tracePath);
-                if (!trace)
-                    throw UserError("cannot write trace '" +
-                                    options.tracePath + "'");
-                trace << obs_install.sink().traceJson();
-                err << "wrote " << options.tracePath << "\n";
-            }
-            if (!options.metricsPath.empty()) {
-                std::ofstream metrics(options.metricsPath);
-                if (!metrics)
-                    throw UserError("cannot write metrics '" +
-                                    options.metricsPath + "'");
-                metrics << obs_install.sink().metricsJson();
-                err << "wrote " << options.metricsPath << "\n";
-            }
-            if (!options.metricsPromPath.empty()) {
-                std::string prom_error;
-                if (!obs::writePrometheusFile(
-                        obs_install.sink().metrics(),
-                        options.metricsPromPath, &prom_error))
-                    throw UserError("cannot write metrics: " +
-                                    prom_error);
-                err << "wrote " << options.metricsPromPath << "\n";
-            }
+            session.writeFiles(err);
             if (sum.failed == 0)
                 return 0;
             for (const BatchItem &item : items)
@@ -522,24 +540,16 @@ runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
             return 1;
         }
 
-        const std::string &inputPath = options.inputs.front();
-        Circuit input = [&]() -> Circuit {
-            if (endsWith(toLower(inputPath), ".pla")) {
-                // Classical path of Fig. 2: ESOP front end.
-                return esop::synthesizePla(
-                    frontend::loadPlaFile(inputPath));
-            }
-            return frontend::loadCircuitFile(inputPath);
-        }();
+        Circuit input = loadInputFile(options.inputs.front());
 
+        // A report's per-pass cost deltas must not depend on whether
+        // an obs sink happens to be installed (a sink flips the
+        // optimizer into detailed pass stats), so any --report, like
+        // the debug pass table, asks for them; the deterministic pass
+        // table then matches what a qsynd daemon renders byte for byte.
         CompileOptions copts = options.compile;
-        if (obs::logEnabled(obs::LogLevel::Debug))
-            copts.optimizer.collectPassStats = true;
-        // Deterministic reports must not depend on whether an obs sink
-        // happens to be installed (a sink flips the optimizer into
-        // detailed pass stats); force the flag so the pass table is
-        // byte-identical to what a qsynd daemon renders.
-        if (options.reportDeterministic)
+        if (obs::logEnabled(obs::LogLevel::Debug) ||
+            !options.reportPath.empty())
             copts.optimizer.collectPassStats = true;
         Compiler compiler(device, copts);
         deadline::Scope compile_deadline(options.deadlineSeconds);
@@ -683,30 +693,7 @@ runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
         }
         if (compile_cache != nullptr)
             compile_cache->publishMetrics();
-        if (!options.tracePath.empty()) {
-            std::ofstream trace(options.tracePath);
-            if (!trace)
-                throw UserError("cannot write trace '" +
-                                options.tracePath + "'");
-            trace << obs_install.sink().traceJson();
-            err << "wrote " << options.tracePath << "\n";
-        }
-        if (!options.metricsPath.empty()) {
-            std::ofstream metrics(options.metricsPath);
-            if (!metrics)
-                throw UserError("cannot write metrics '" +
-                                options.metricsPath + "'");
-            metrics << obs_install.sink().metricsJson();
-            err << "wrote " << options.metricsPath << "\n";
-        }
-        if (!options.metricsPromPath.empty()) {
-            std::string prom_error;
-            if (!obs::writePrometheusFile(obs_install.sink().metrics(),
-                                          options.metricsPromPath,
-                                          &prom_error))
-                throw UserError("cannot write metrics: " + prom_error);
-            err << "wrote " << options.metricsPromPath << "\n";
-        }
+        session.writeFiles(err);
         return 0;
     } catch (const UserError &e) {
         err << "error: " << e.what() << "\n";

@@ -7,14 +7,72 @@
 
 #pragma once
 
+#include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/compiler.hpp"
 #include "obs/obs.hpp"
 
 namespace qsyn::cli {
+
+/** The observability flags qsync, qverify and qsim share. */
+struct ObsFlags
+{
+    /** --trace-json: a Chrome trace-event JSON file, loadable in
+     *  Perfetto / chrome://tracing (empty = none). */
+    std::string tracePath;
+    /** --metrics-json: a metrics snapshot JSON file (empty = none). */
+    std::string metricsPath;
+    /** --metrics-prom: Prometheus text exposition at exit (empty =
+     *  none); qsync's --stats-interval also rewrites it while a batch
+     *  runs. */
+    std::string metricsPromPath;
+    /** --crash-dump: arm the flight-recorder crash handler; a crashing
+     *  run dumps `qsyn-crash-<pid>.json` into this directory (empty =
+     *  off). */
+    std::string crashDumpDir;
+    /** --log-level override; unset = QSYN_LOG env (default quiet). */
+    std::optional<obs::LogLevel> logLevel;
+};
+
+/**
+ * Parse `flag` when it is one of the five ObsFlags flags, reading its
+ * value from `value()`; returns false, reading nothing, for any other
+ * argument. Throws UserError on a bad --log-level value.
+ */
+bool parseObsFlag(const std::string &flag,
+                  const std::function<std::string()> &value,
+                  ObsFlags *flags);
+
+/**
+ * One tool run's observability. The constructor applies the log
+ * level, turns the flight recorder on, arms the crash handler for
+ * --crash-dump, installs a sink when an output file was requested and
+ * names the calling thread; the destructor uninstalls the sink.
+ */
+class ObsSession
+{
+  public:
+    ObsSession(ObsFlags flags, std::string_view threadName);
+    ~ObsSession();
+
+    ObsSession(const ObsSession &) = delete;
+    ObsSession &operator=(const ObsSession &) = delete;
+
+    /** Write the requested trace, metrics and Prometheus files, in that
+     *  order, each followed by "wrote <path>" on `err`. Throws
+     *  UserError when one cannot be written. */
+    void writeFiles(std::ostream &err);
+
+  private:
+    ObsFlags flags_;
+    obs::Sink sink_;
+    bool installed_;
+};
 
 /** Fully parsed command line. */
 struct CliOptions
@@ -52,25 +110,14 @@ struct CliOptions
     bool analyze = false;
     /** Write a JSON compile report here (empty = none). */
     std::string reportPath;
-    /** Write a Chrome trace-event JSON file here (empty = none);
-     *  loadable in Perfetto / chrome://tracing. */
-    std::string tracePath;
-    /** Write a metrics snapshot JSON file here (empty = none). */
-    std::string metricsPath;
-    /** Write Prometheus text exposition here at exit (empty = none);
-     *  with --stats-interval the file is also rewritten periodically
-     *  while a batch runs. */
-    std::string metricsPromPath;
+    /** --trace-json, --metrics-json, --metrics-prom, --crash-dump and
+     *  --log-level. */
+    ObsFlags obs;
     /** Periodic batch stats interval, seconds (0 = off). */
     double statsIntervalSeconds = 0.0;
-    /** Arm the flight-recorder crash handler; a crashing run dumps
-     *  `qsyn-crash-<pid>.json` into this directory (empty = off). */
-    std::string crashDumpDir;
     /** Hidden fault-injection flag (--test-crash): abort() after the
      *  compile so the crash-dump path has a deterministic test. */
     bool testCrash = false;
-    /** --log-level override; unset = QSYN_LOG env (default quiet). */
-    std::optional<obs::LogLevel> logLevel;
     /** Rebase the emitted circuit's two-qubit basis: "" (keep CNOT)
      *  or "cz" (emit CZ + Hadamards, for CZ-native platforms). */
     std::string rebase;
@@ -111,6 +158,10 @@ CliOptions parseCliArguments(const std::vector<std::string> &args);
 double parseDoubleValue(const std::string &flag, const std::string &value);
 size_t parseCountValue(const std::string &flag, const std::string &value);
 /// @}
+
+/** The value of a --log-level flag (quiet|info|debug|trace). Throws
+ *  UserError on anything else. */
+obs::LogLevel parseLogLevelValue(const std::string &value);
 
 /** The --help text. */
 std::string cliHelpText();

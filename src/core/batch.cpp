@@ -59,6 +59,14 @@ parallelFor(size_t n, size_t jobs, const std::function<void(size_t)> &fn,
         t.join();
 }
 
+Circuit
+loadInputFile(const std::string &path)
+{
+    if (endsWith(toLower(path), ".pla"))
+        return esop::synthesizePla(frontend::loadPlaFile(path));
+    return frontend::loadCircuitFile(path);
+}
+
 BatchCompiler::BatchCompiler(Device device, CompileOptions options)
     : device_(std::move(device)), options_(std::move(options))
 {
@@ -77,14 +85,7 @@ BatchCompiler::compileFiles(const std::vector<std::string> &paths,
 {
     return run(
         paths.size(), jobs,
-        [&](size_t i) -> Circuit {
-            const std::string &path = paths[i];
-            if (endsWith(toLower(path), ".pla")) {
-                // Classical path of Fig. 2: ESOP front end.
-                return esop::synthesizePla(frontend::loadPlaFile(path));
-            }
-            return frontend::loadCircuitFile(path);
-        },
+        [&](size_t i) { return loadInputFile(paths[i]); },
         [&](size_t i) { return paths[i]; });
 }
 
@@ -152,21 +153,10 @@ BatchCompiler::run(size_t n, size_t jobs,
             // One Compiler per item.
             Circuit input = load(i);
             Compiler compiler(device_, options_);
-            if (cache_ != nullptr) {
-                std::shared_ptr<const CachedCompile> cached =
-                    cache_->getOrCompute(input, device_, options_, [&] {
-                        CachedCompile artifact;
-                        artifact.result = compiler.compile(input);
-                        artifact.qasm =
-                            compiler.toQasm(artifact.result);
-                        return artifact;
-                    });
-                item.result = cached->result;
-                item.qasm = cached->qasm;
-            } else {
-                item.result = compiler.compile(input);
-                item.qasm = compiler.toQasm(item.result);
-            }
+            std::shared_ptr<const CachedCompile> artifact =
+                compiler.compileCached(input, cache_);
+            item.result = artifact->result;
+            item.qasm = artifact->qasm;
             item.ok = true;
         } catch (const DeadlineError &e) {
             item.error = e.what();

@@ -44,6 +44,11 @@ void parallelFor(size_t n, size_t jobs,
 /** Number of workers `jobs` resolves to (0 -> hardware threads). */
 size_t resolveJobs(size_t jobs);
 
+/** Load one compiler input: `.pla` files through the ESOP front end
+ *  (Fig. 2's classical path), everything else through the circuit
+ *  loader. */
+Circuit loadInputFile(const std::string &path);
+
 /** Outcome of one circuit in a batch. */
 struct BatchItem
 {
@@ -90,10 +95,9 @@ class BatchCompiler
     explicit BatchCompiler(Device device, CompileOptions options = {});
 
     /**
-     * Load and compile each file with up to `jobs` workers. `.pla`
-     * inputs go through the ESOP front end, everything else through
-     * the circuit loader. A failing item records its error and leaves
-     * the rest of the batch running; results come back in input order.
+     * Load (loadInputFile) and compile each file with up to `jobs`
+     * workers. A failing item records its error and leaves the rest of
+     * the batch running; results come back in input order.
      */
     std::vector<BatchItem>
     compileFiles(const std::vector<std::string> &paths, size_t jobs);

@@ -102,7 +102,7 @@ compileReportJson(const CompileResult &result, const Device &device,
                a.countAtLeast(analysis::Severity::Error))
            << "}";
     }
-    if (options.includeQmddStats) {
+    if (options.includeRunStats) {
         os << ",\n  \"qmdd\": {\"live_nodes\": " << result.ddLiveNodes
            << ", \"peak_nodes\": " << result.ddStats.peakNodes
            << ", \"unique_lookups\": " << result.ddStats.uniqueLookups
@@ -113,8 +113,6 @@ compileReportJson(const CompileResult &result, const Device &device,
            << ", \"compute_hit_rate\": "
            << result.ddStats.computeHitRate()
            << ", \"gc_runs\": " << result.ddStats.gcRuns << "}";
-    }
-    if (options.includeSeconds) {
         os << ",\n  \"seconds\": {\"decompose\": "
            << result.decomposeSeconds
            << ", \"place\": " << result.placeSeconds
@@ -122,9 +120,6 @@ compileReportJson(const CompileResult &result, const Device &device,
            << ", \"optimize\": " << result.optimizeSeconds
            << ", \"verify\": " << result.verifySeconds
            << ", \"total\": " << result.totalSeconds << "}";
-        // Per-compile resource accounting (obs::ResourceUsage). Gated
-        // with the timings: both are run-dependent, and golden-output
-        // tests rely on reports without them being reproducible.
         const obs::ResourceUsage &r = result.resources;
         os << ",\n  \"resources\": {\"wall_seconds\": " << r.wallSeconds
            << ", \"user_cpu_seconds\": " << r.userCpuSeconds

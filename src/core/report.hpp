@@ -24,27 +24,22 @@ struct ReportOptions
      *  the compiled circuit. */
     const analysis::Diagnostics *analysis = nullptr;
 
-    /** Emit the "seconds" timing object. The cache-correctness oracle
-     *  turns this off: timings legitimately differ between a cached
-     *  fetch and a cold recompile, everything else must not. */
-    bool includeSeconds = true;
-    /** Emit the "qmdd" verification-package counters. The compile
-     *  service turns this off: against the daemon's warm shared
-     *  package, table hit counts and the global peak-nodes high-water
-     *  depend on what other requests did, while everything else in
-     *  the report is a pure function of (circuit, device, options). */
-    bool includeQmddStats = true;
+    /** Emit what measures one run rather than its inputs: the "qmdd"
+     *  verification-package counters, the "seconds" timings and the
+     *  "resources" accounting. Timings differ between runs, and the
+     *  qmdd counters differ between two compiles of the same input,
+     *  because the compute-cache sets hash node addresses. */
+    bool includeRunStats = true;
 
     /** The fully reproducible form: only fields that are a pure
-     *  function of the compile inputs. `qsync --report-deterministic`
-     *  and every qsynd response use this, which is what makes remote
-     *  and local reports byte-comparable. */
+     *  function of the compile inputs. `qsync --report-deterministic`,
+     *  every qsynd response and the cache-consistency oracle use this,
+     *  which is what makes remote and local reports byte-comparable. */
     static ReportOptions
     deterministic()
     {
         ReportOptions o;
-        o.includeSeconds = false;
-        o.includeQmddStats = false;
+        o.includeRunStats = false;
         return o;
     }
 };

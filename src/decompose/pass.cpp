@@ -68,8 +68,6 @@ class AncillaAllocator
     bool
     canGrow(const Circuit &circuit) const
     {
-        if (!options_.allowAncillaAllocation)
-            return false;
         return options_.maxQubits == 0 ||
                circuit.numQubits() < options_.maxQubits;
     }

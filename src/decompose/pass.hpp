@@ -29,8 +29,6 @@ struct DecomposeOptions
      *  needed. When the cap forbids clean ancillas the pass falls back
      *  to borrowed-ancilla and ancilla-free networks. */
     Qubit maxQubits = 0;
-    /** Permit allocating fresh clean ancilla wires at all. */
-    bool allowAncillaAllocation = true;
 };
 
 /** Output of the decomposition pass. */

@@ -71,12 +71,8 @@ drawCircuit(const Circuit &circuit, const DrawOptions &options)
         Qubit lo = *std::min_element(wires.begin(), wires.end());
         Qubit hi = *std::max_element(wires.begin(), wires.end());
         size_t column = 0;
-        if (options.compact) {
-            for (Qubit q = lo; q <= hi; ++q)
-                column = std::max(column, next_free[q]);
-        } else {
-            column = num_columns;
-        }
+        for (Qubit q = lo; q <= hi; ++q)
+            column = std::max(column, next_free[q]);
         for (Qubit q = lo; q <= hi; ++q)
             next_free[q] = column + 1;
         placed.push_back({&g, column});

@@ -25,11 +25,10 @@ struct DrawOptions
     /** Maximum rendered columns before the drawing is truncated with
      *  an ellipsis marker (0 = unlimited). */
     size_t maxColumns = 0;
-    /** Pack independent gates into the same column. */
-    bool compact = true;
 };
 
-/** Render a circuit as ASCII art. */
+/** Render a circuit as ASCII art, packing gates on disjoint wire
+ *  spans into shared columns. */
 std::string drawCircuit(const Circuit &circuit,
                         const DrawOptions &options = {});
 

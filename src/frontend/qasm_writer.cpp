@@ -12,9 +12,9 @@ namespace qsyn::frontend {
 namespace {
 
 std::string
-qubitRef(const QasmWriterOptions &opt, Qubit q)
+qubitRef(Qubit q)
 {
-    return opt.qregName + "[" + std::to_string(q) + "]";
+    return "q[" + std::to_string(q) + "]";
 }
 
 std::string
@@ -27,8 +27,7 @@ paramText(double value)
 }
 
 void
-writeGate(std::ostringstream &os, const Gate &g,
-          const QasmWriterOptions &opt)
+writeGate(std::ostringstream &os, const Gate &g)
 {
     const auto &cs = g.controls();
     auto unsupported = [&]() -> UserError {
@@ -41,35 +40,35 @@ writeGate(std::ostringstream &os, const Gate &g,
       case GateKind::Barrier: {
         os << "barrier";
         for (size_t i = 0; i < g.targets().size(); ++i)
-            os << (i == 0 ? " " : ",") << qubitRef(opt, g.targets()[i]);
+            os << (i == 0 ? " " : ",") << qubitRef(g.targets()[i]);
         os << ";\n";
         return;
       }
       case GateKind::Measure:
-        os << "measure " << qubitRef(opt, g.target()) << " -> "
-           << opt.cregName << "[" << g.cbit() << "];\n";
+        os << "measure " << qubitRef(g.target()) << " -> c[" << g.cbit()
+           << "];\n";
         return;
       case GateKind::Swap:
         if (cs.size() == 0) {
-            os << "swap " << qubitRef(opt, g.targets()[0]) << ","
-               << qubitRef(opt, g.targets()[1]) << ";\n";
+            os << "swap " << qubitRef(g.targets()[0]) << ","
+               << qubitRef(g.targets()[1]) << ";\n";
         } else if (cs.size() == 1) {
-            os << "cswap " << qubitRef(opt, cs[0]) << ","
-               << qubitRef(opt, g.targets()[0]) << ","
-               << qubitRef(opt, g.targets()[1]) << ";\n";
+            os << "cswap " << qubitRef(cs[0]) << ","
+               << qubitRef(g.targets()[0]) << ","
+               << qubitRef(g.targets()[1]) << ";\n";
         } else {
             throw unsupported();
         }
         return;
       case GateKind::X:
         if (cs.size() == 0)
-            os << "x " << qubitRef(opt, g.target()) << ";\n";
+            os << "x " << qubitRef(g.target()) << ";\n";
         else if (cs.size() == 1)
-            os << "cx " << qubitRef(opt, cs[0]) << ","
-               << qubitRef(opt, g.target()) << ";\n";
+            os << "cx " << qubitRef(cs[0]) << ","
+               << qubitRef(g.target()) << ";\n";
         else if (cs.size() == 2)
-            os << "ccx " << qubitRef(opt, cs[0]) << ","
-               << qubitRef(opt, cs[1]) << "," << qubitRef(opt, g.target())
+            os << "ccx " << qubitRef(cs[0]) << ","
+               << qubitRef(cs[1]) << "," << qubitRef(g.target())
                << ";\n";
         else
             throw unsupported();
@@ -102,8 +101,8 @@ writeGate(std::ostringstream &os, const Gate &g,
         os << "(" << paramText(g.param()) << ")";
     os << " ";
     for (Qubit c : cs)
-        os << qubitRef(opt, c) << ",";
-    os << qubitRef(opt, g.target()) << ";\n";
+        os << qubitRef(c) << ",";
+    os << qubitRef(g.target()) << ";\n";
 }
 
 } // namespace
@@ -118,25 +117,12 @@ writeQasm(const Circuit &circuit, const QasmWriterOptions &options)
         os << "// circuit: " << circuit.name() << "\n";
     os << "OPENQASM 2.0;\n";
     os << "include \"qelib1.inc\";\n";
-    os << "qreg " << options.qregName << "[" << circuit.numQubits()
-       << "];\n";
-
-    bool has_measure = circuit.numCbits() > 0;
-    if (has_measure || options.measureAll) {
-        Cbit cbits = has_measure ? circuit.numCbits()
-                                 : static_cast<Cbit>(circuit.numQubits());
-        os << "creg " << options.cregName << "[" << cbits << "];\n";
-    }
+    os << "qreg q[" << circuit.numQubits() << "];\n";
+    if (circuit.numCbits() > 0)
+        os << "creg c[" << circuit.numCbits() << "];\n";
 
     for (const Gate &g : circuit)
-        writeGate(os, g, options);
-
-    if (!has_measure && options.measureAll) {
-        for (Qubit q = 0; q < circuit.numQubits(); ++q) {
-            os << "measure " << options.qregName << "[" << q << "] -> "
-               << options.cregName << "[" << q << "];\n";
-        }
-    }
+        writeGate(os, g);
     return os.str();
 }
 

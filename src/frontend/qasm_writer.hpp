@@ -15,19 +15,14 @@ namespace qsyn::frontend {
 /** Options controlling QASM emission. */
 struct QasmWriterOptions
 {
-    /** Register name used for the single flattened quantum register. */
-    std::string qregName = "q";
-    /** Register name for classical bits (emitted when measures exist). */
-    std::string cregName = "c";
-    /** Emit a trailing measurement of every wire when the circuit has
-     *  none (convenient for direct execution). */
-    bool measureAll = false;
     /** Leading comment line (e.g. the target device). */
     std::string headerComment;
 };
 
 /**
- * Serialize a circuit as OpenQASM 2.0. Every gate must be expressible
+ * Serialize a circuit as OpenQASM 2.0: one flattened quantum register
+ * `q` and, when the circuit measures, one classical register `c`.
+ * Every gate must be expressible
  * with qelib1 vocabulary (up to 2 controls on X, 1 on Z/Y/H/rotations,
  * swap/cswap); wider generalized Toffolis must be decomposed first —
  * throws UserError otherwise.

@@ -66,6 +66,12 @@ struct IdentityWindowMemo
     size_t hits = 0;
 };
 
+/** The optimizer's identity windows span at most three wires, the
+ *  block width of TopAS-style partitioning (and of the miter's fused
+ *  steps), and at most 16 gates. */
+inline constexpr int kWindowQubits = 3;
+inline constexpr size_t kWindowGates = 16;
+
 /**
  * Remove gate partitions that multiply to the identity: slides a
  * window over runs of gates confined to at most `max_qubits` wires
@@ -74,8 +80,8 @@ struct IdentityWindowMemo
  * up in and added to `memo`; without one the call uses its own.
  * Returns true when the circuit changed.
  */
-bool removeIdentityWindows(Circuit &circuit, int max_qubits = 3,
-                           size_t max_gates = 16,
+bool removeIdentityWindows(Circuit &circuit, int max_qubits = kWindowQubits,
+                           size_t max_gates = kWindowGates,
                            IdentityWindowMemo *memo = nullptr);
 
 /**

@@ -5,6 +5,13 @@
 
 namespace qsyn::opt {
 
+namespace {
+
+/** Safety cap on driver rounds. */
+constexpr int kMaxRounds = 64;
+
+} // namespace
+
 Circuit
 optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
                 OptimizeReport *report)
@@ -78,33 +85,24 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
         return changed;
     };
 
-    for (int round = 0; round < options.maxRounds; ++round) {
+    for (int round = 0; round < kMaxRounds; ++round) {
         deadline::check("local optimization");
         current_round = round;
         obs::Span round_span("opt.round", "opt");
         round_span.arg("round", round);
-        bool changed = false;
-        if (options.enableCancellation) {
-            changed |= run_pass(cancellation, "opt.cancellation", [&] {
-                return cancelInversePairs(current);
-            });
-        }
-        if (options.enableRotationMerge) {
-            changed |= run_pass(rotation, "opt.rotation_merge", [&] {
-                return mergeRotations(current);
-            });
-        }
-        if (options.enableHadamardRules) {
-            changed |= run_pass(hadamard, "opt.hadamard_rules", [&] {
-                return applyHadamardRules(current, options.device);
-            });
-        }
+        bool changed = run_pass(cancellation, "opt.cancellation", [&] {
+            return cancelInversePairs(current);
+        });
+        changed |= run_pass(rotation, "opt.rotation_merge", [&] {
+            return mergeRotations(current);
+        });
+        changed |= run_pass(hadamard, "opt.hadamard_rules", [&] {
+            return applyHadamardRules(current, options.device);
+        });
         if (options.enableWindowIdentity) {
             changed |= run_pass(window, "opt.window_identity", [&] {
-                return removeIdentityWindows(current,
-                                             options.windowQubits,
-                                             options.windowGates,
-                                             &window_memo);
+                return removeIdentityWindows(current, kWindowQubits,
+                                             kWindowGates, &window_memo);
             });
         }
         if (options.enablePhasePolynomial) {
@@ -138,12 +136,9 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
     if (report) {
         report->finalCost = cost;
         report->finalGates = computeStats(current).volume;
-        if (options.enableCancellation)
-            report->passes.push_back(cancellation);
-        if (options.enableRotationMerge)
-            report->passes.push_back(rotation);
-        if (options.enableHadamardRules)
-            report->passes.push_back(hadamard);
+        report->passes.push_back(cancellation);
+        report->passes.push_back(rotation);
+        report->passes.push_back(hadamard);
         if (options.enableWindowIdentity)
             report->passes.push_back(window);
         if (options.enablePhasePolynomial)

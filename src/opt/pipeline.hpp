@@ -24,9 +24,8 @@ struct OptimizerOptions
     /** Legality oracle for direction rewrites; null = unconstrained. */
     const Device *device = nullptr;
 
-    bool enableCancellation = true;
-    bool enableRotationMerge = true;
-    bool enableHadamardRules = true;
+    /** Step 5's identity-window pass. Cancellation, rotation merging
+     *  and the Hadamard rules always run. */
     bool enableWindowIdentity = true;
     /**
      * Phase-polynomial T-count reduction. Off by default: it merges
@@ -37,19 +36,13 @@ struct OptimizerOptions
      */
     bool enablePhasePolynomial = false;
 
-    /** Window-identity pass limits. */
-    int windowQubits = 3;
-    size_t windowGates = 16;
-
-    /** Safety cap on driver rounds. */
-    int maxRounds = 64;
-
     /**
      * Track the per-pass cost delta in OptimizeReport::passes. Costs a
      * cost-model evaluation (one O(gates) scan) after every pass
-     * invocation, so it is off by default and enabled by the CLI under
-     * `--log-level debug` or whenever a trace sink is installed.
-     * Invocation and gates-removed accounting is O(1) and always on.
+     * invocation, so it is off by default; qsync sets it for --report
+     * and `--log-level debug`, qsynd for every compile, and an
+     * installed obs sink implies it. Invocation and gates-removed
+     * accounting is O(1) and always on.
      */
     bool collectPassStats = false;
 

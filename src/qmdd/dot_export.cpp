@@ -50,10 +50,8 @@ toDot(Package &pkg, const Edge &e, const DotOptions &options)
 
     // Root pseudo-edge.
     os << "  root [shape=point];\n";
-    os << "  root -> n" << id_of(e.node);
-    if (options.showWeights)
-        os << " [label=\"" << weightLabel(*e.weight) << "\"]";
-    os << ";\n";
+    os << "  root -> n" << id_of(e.node) << " [label=\""
+       << weightLabel(*e.weight) << "\"];\n";
 
     size_t cursor = 0;
     while (cursor < stack.size()) {
@@ -71,7 +69,7 @@ toDot(Package &pkg, const Edge &e, const DotOptions &options)
                 continue; // zero edges elided, as in Fig. 1
             os << "  n" << ids[n] << " -> n" << id_of(child.node)
                << " [label=\"" << kQuadrant[i];
-            if (options.showWeights && !approxOne(*child.weight))
+            if (!approxOne(*child.weight))
                 os << " (" << weightLabel(*child.weight) << ")";
             os << "\"];\n";
         }

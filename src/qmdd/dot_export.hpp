@@ -17,13 +17,12 @@ namespace qsyn::dd {
 /** Options for DOT rendering. */
 struct DotOptions
 {
-    /** Print edge weights (off renders a pure structure graph). */
-    bool showWeights = true;
     /** Graph title, shown as a label. */
     std::string title;
 };
 
-/** Render the DD rooted at `e` as a DOT digraph. */
+/** Render the DD rooted at `e` as a DOT digraph, labelling every edge
+ *  whose weight is not 1 with that weight. */
 std::string toDot(Package &pkg, const Edge &e,
                   const DotOptions &options = {});
 

@@ -12,6 +12,14 @@
 
 namespace qsyn::dd {
 
+namespace {
+
+/** Tolerance of the EquivalentApprox fallback verdict and of the
+ *  quick refutation's overlap test. */
+constexpr double kApproxEps = 1e-6;
+
+} // namespace
+
 const char *
 equivalenceName(Equivalence e)
 {
@@ -72,14 +80,14 @@ EquivalenceChecker::compareEdges(const Edge &a, const Edge &b,
     }
     // Tolerant fallback: exact pointer canonicity can be lost to float
     // drift over very long gate products.
-    if (pkg_.approxEqualEdges(a, b, opts.approxEps))
+    if (pkg_.approxEqualEdges(a, b, kApproxEps))
         return Equivalence::EquivalentApprox;
     if (opts.upToGlobalPhase && *b.weight != Cplx(0, 0)) {
         Cplx ratio = *a.weight / *b.weight;
         double mag = std::abs(ratio);
         if (approxEqual(mag, 1.0, 1e-6)) {
             Edge b_aligned = pkg_.scaled(b, ratio);
-            if (pkg_.approxEqualEdges(a, b_aligned, opts.approxEps))
+            if (pkg_.approxEqualEdges(a, b_aligned, kApproxEps))
                 return Equivalence::EquivalentApprox;
         }
     }
@@ -253,7 +261,7 @@ quickRefute(Package &pkg, const Circuit &a, const Circuit &b,
         Edge out_b = engine.applyCircuit(b, input, {out_a});
         double overlap = std::abs(engine.innerProduct(
             out_a, out_b, static_cast<int>(width)));
-        if (std::abs(overlap - 1.0) > opts.approxEps)
+        if (std::abs(overlap - 1.0) > kApproxEps)
             return true; // definite counterexample
     }
     return false;

@@ -71,8 +71,6 @@ struct EquivalenceOptions
      *  declared only because the benchmark harness assigns it; delete
      *  it with that assignment. */
     bool useMiter = false;
-    /** Tolerance for the EquivalentApprox fallback verdict. */
-    double approxEps = 1e-6;
     /**
      * Before the full matrix comparison, push this many random basis
      * states (ancilla wires held at |0>) through both circuits with

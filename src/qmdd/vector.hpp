@@ -4,12 +4,10 @@
  * node store, and canonicity rules as the matrix DDs.
  *
  * A vector node has two outgoing edges (the |0> and |1> cofactors of
- * its qubit); an edge skipping levels means the skipped qubits are in
- * |0> ... no — skipped levels are *factored out* |0/1-independent?
- * Convention here: a vector edge to the terminal represents the
- * all-|0> state of every remaining qubit (weight x |0...0>), and an
- * edge skipping levels means those qubits are |0>. This makes basis
- * states O(#ones) nodes and lets DD simulation scale to the 96-qubit
+ * its qubit). A vector edge to the terminal represents the all-|0>
+ * state of every remaining qubit (weight x |0...0>), and an edge
+ * skipping levels means those qubits are |0>. This makes basis states
+ * O(#ones) nodes and lets DD simulation scale to the 96-qubit
  * compiled circuits, far beyond the 2^n dense simulator.
  */
 
@@ -23,10 +21,12 @@ namespace qsyn::dd {
 
 /**
  * Vector-DD engine layered on a Package. Vector nodes reuse the
- * 4-edge Node structure with e[2] and e[3] unused (zero), so the
- * package's unique table, interning and GC apply unchanged; matrix
- * and vector nodes never collide because vector nodes always carry a
- * zero e[2]/e[3] signature distinct from any reduced matrix node's.
+ * 4-edge Node structure, so the package's unique table, interning and
+ * GC apply unchanged. Nodes the engine makes itself carry zero e[2]
+ * and e[3], but a vector node can also be a matrix node: matVecNodes
+ * sums cofactors with the matrix Package::add, which reads a skipped
+ * vector level as the identity and can leave a nonzero e[2] or e[3].
+ * Amplitudes stay exact because vectorChild reads only e[0] and e[1].
  */
 class VectorEngine
 {

@@ -77,13 +77,6 @@ struct RouteOptions
     bool fidelityAware = false;
 
     /**
-     * Sabre: how many not-yet-ready CNOTs beyond the frontier join
-     * the SWAP score, each attenuated geometrically by its distance
-     * from the frontier (the "decayed extended-lookahead window").
-     */
-    size_t sabreWindow = 20;
-
-    /**
      * TEST ONLY — omit the swap-back half of every CTR reroute. The
      * output stays legal on the device but its unitary is wrong, which
      * is exactly what the qfuzz oracle stack must catch and shrink.

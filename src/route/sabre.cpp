@@ -20,6 +20,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/** How many not-yet-ready CNOTs beyond the frontier join the SWAP
+ *  score (the "decayed extended-lookahead window"). */
+constexpr size_t kWindow = 20;
+
 /** Weight of the first extended-window CNOT relative to the frontier. */
 constexpr double kExtWeight = 0.5;
 
@@ -341,26 +345,24 @@ routeSabre(const Circuit &circuit, const Device &device, RouteStats *stats,
         // Decayed extended window: the next CNOTs behind the frontier
         // in dependency order, discovered by BFS over successors.
         std::vector<size_t> window;
-        if (options.sabreWindow > 0) {
-            std::vector<char> seen(total, 0);
-            std::deque<size_t> bfs;
-            for (size_t gi : ready) {
-                seen[gi] = 1;
-                bfs.push_back(gi);
-            }
-            while (!bfs.empty() && window.size() < options.sabreWindow) {
-                size_t gi = bfs.front();
-                bfs.pop_front();
-                for (size_t s : dag.succs(gi)) {
-                    if (seen[s])
-                        continue;
-                    seen[s] = 1;
-                    bfs.push_back(s);
-                    if (circuit[s].isCnot()) {
-                        window.push_back(s);
-                        if (window.size() == options.sabreWindow)
-                            break;
-                    }
+        std::vector<char> seen(total, 0);
+        std::deque<size_t> bfs;
+        for (size_t gi : ready) {
+            seen[gi] = 1;
+            bfs.push_back(gi);
+        }
+        while (!bfs.empty() && window.size() < kWindow) {
+            size_t gi = bfs.front();
+            bfs.pop_front();
+            for (size_t s : dag.succs(gi)) {
+                if (seen[s])
+                    continue;
+                seen[s] = 1;
+                bfs.push_back(s);
+                if (circuit[s].isCnot()) {
+                    window.push_back(s);
+                    if (window.size() == kWindow)
+                        break;
                 }
             }
         }
@@ -395,7 +397,7 @@ routeSabre(const Circuit &circuit, const Device &device, RouteStats *stats,
 
     span.arg("gates_in", circuit.size());
     span.arg("gates_out", out.size());
-    span.arg("window", options.sabreWindow);
+    span.arg("window", kWindow);
     span.arg("forced_reroutes", forced_reroutes);
     span.arg("restore_swaps", restore_swaps);
     if (obs::Sink *s = obs::sink()) {

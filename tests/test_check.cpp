@@ -133,10 +133,23 @@ TEST(OracleStack, DeterminismHoldsAcrossRecompilesAndJobs)
 {
     Rng rng(42);
     Circuit input = randomNctCascade(rng, 4, 12, 2);
-    OracleOptions oopts;
-    oopts.determinismJobs = {1, 2, 4};
-    OracleOutcome out = checkDeterminism(input, makeIbmqx2(),
-                                         CompileOptions{}, oopts);
+    OracleOutcome out =
+        checkDeterminism(input, makeIbmqx2(), CompileOptions{});
+    EXPECT_TRUE(out.passed) << out.details;
+}
+
+TEST(OracleStack, CacheConsistencyHoldsOnDeepCompile)
+{
+    // A 250-gate, 5-qubit Clifford+T compile: its QMDD counters differ
+    // between two compiles of the same input (the compute-cache sets
+    // hash node addresses), which must not read as a stale cache.
+    RandomCircuitOptions gen;
+    gen.numQubits = 5;
+    gen.numGates = 250;
+    gen.gateSet = RandomGateSet::CliffordT;
+    gen.seed = 11;
+    OracleOutcome out = checkCacheConsistency(
+        randomCircuit(gen), makeIbmqx4(), CompileOptions{});
     EXPECT_TRUE(out.passed) << out.details;
 }
 

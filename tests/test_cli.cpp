@@ -15,6 +15,7 @@
 #include "frontend/qasm_parser.hpp"
 #include "obs/obs.hpp"
 #include "qmdd/equivalence.hpp"
+#include "service/json.hpp"
 
 using namespace qsyn;
 using namespace qsyn::cli;
@@ -119,6 +120,37 @@ TEST(CliParse, Errors)
     // The miter is the only check, so there is no flag to select it.
     EXPECT_THROW(parseCliArguments({"--verify-miter", "x.qasm"}),
                  UserError);
+}
+
+TEST(CliParse, RemoteRejectsWhatItCannotSend)
+{
+    // Local-only flags, then compile options the qsynd request has no
+    // field for: each is refused by name rather than ignored.
+    const std::vector<std::vector<std::string>> rejected = {
+        {"--device-file", "dev.txt"}, {"--draw"}, {"--schedule"},
+        {"--analyze"}, {"--trace-json", "t.json"},
+        {"--metrics-json", "m.json"}, {"--metrics-prom", "m.prom"},
+        {"--rebase", "cz"}, {"--cache-dir", "cache"}, {"--test-crash"},
+        {"--mcx", "roots"}, {"--phase-poly"}, {"--weight-t", "3"},
+        {"--weight-cnot", "1"}, {"--weight-gate", "2"},
+        {"--fidelity-aware"}, {"--no-ti-optimize"},
+        {"--test-omit-swap-back"}};
+    for (const std::vector<std::string> &flag : rejected) {
+        std::vector<std::string> args = {"--remote", "qsynd.sock"};
+        args.insert(args.end(), flag.begin(), flag.end());
+        args.push_back("x.qasm");
+        try {
+            parseCliArguments(args);
+            ADD_FAILURE() << flag[0] << " was accepted with --remote";
+        } catch (const UserError &e) {
+            EXPECT_EQ(std::string(e.what()).rfind(flag[0] + " ", 0), 0u)
+                << e.what();
+        }
+    }
+    // A value equal to the default changes nothing and is accepted.
+    EXPECT_NO_THROW(parseCliArguments({"--remote", "qsynd.sock", "--mcx",
+                                       "auto", "--weight-t", "0.5",
+                                       "x.qasm"}));
 }
 
 TEST(CliRun, HelpAndDeviceList)
@@ -299,10 +331,10 @@ TEST(CliParse, ObservabilityFlags)
     CliOptions opts = parseCliArguments(
         {"--trace-json", "t.json", "--metrics-json", "m.json",
          "--log-level", "debug", "x.qasm"});
-    EXPECT_EQ(opts.tracePath, "t.json");
-    EXPECT_EQ(opts.metricsPath, "m.json");
-    ASSERT_TRUE(opts.logLevel.has_value());
-    EXPECT_EQ(*opts.logLevel, obs::LogLevel::Debug);
+    EXPECT_EQ(opts.obs.tracePath, "t.json");
+    EXPECT_EQ(opts.obs.metricsPath, "m.json");
+    ASSERT_TRUE(opts.obs.logLevel.has_value());
+    EXPECT_EQ(*opts.obs.logLevel, obs::LogLevel::Debug);
     EXPECT_THROW(parseCliArguments({"--log-level", "loud", "x.qasm"}),
                  UserError);
     EXPECT_THROW(parseCliArguments({"--trace-json"}), UserError);
@@ -370,6 +402,41 @@ TEST(CliRun, DebugLogLevelPrintsPassBreakdown)
     EXPECT_NE(err.str().find("optimizer passes"), std::string::npos);
     EXPECT_NE(err.str().find("cancellation"), std::string::npos);
     std::remove(in_path.c_str());
+}
+
+TEST(CliRun, PlainReportCarriesPassCostDeltas)
+{
+    // The per-pass cost deltas of a --report must not depend on
+    // whether an obs sink happens to be installed: the plain report
+    // agrees with the deterministic one.
+    const std::string input =
+        std::string(QSYN_DATA_DIR) + "/mod5_cascade.real";
+    auto cancellationDelta = [&](bool deterministic) {
+        std::string path = ::testing::TempDir() + "cli_pass_report.json";
+        std::vector<std::string> args = {"-d", "ibmqx4", "--report", path,
+                                         "--no-emit", "--quiet", input};
+        if (deterministic)
+            args.push_back("--report-deterministic");
+        std::ostringstream out, err;
+        EXPECT_EQ(runCli(parseCliArguments(args), out, err), 0)
+            << err.str();
+        std::ifstream in(path);
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        std::remove(path.c_str());
+        service::Json report;
+        std::string error;
+        EXPECT_TRUE(service::parseJson(buffer.str(), &report, &error))
+            << error;
+        for (const service::Json &p : report.at("optimizer_passes").array)
+            if (p.at("name").str == "cancellation")
+                return p.at("cost_delta").number;
+        ADD_FAILURE() << "no cancellation pass in " << buffer.str();
+        return 0.0;
+    };
+    double plain = cancellationDelta(false);
+    EXPECT_GT(plain, 0.0);
+    EXPECT_EQ(plain, cancellationDelta(true));
 }
 
 TEST(CliRun, RebaseToCzEmitsCzBasis)

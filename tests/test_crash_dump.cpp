@@ -1,10 +1,11 @@
 /**
  * @file
- * End-to-end crash-dump and exposition tests against the real qsync
- * binary, run as a subprocess: `--crash-dump` + the hidden
+ * End-to-end crash-dump and exposition tests against the real tool
+ * binaries, run as subprocesses: qsync's `--crash-dump` + the hidden
  * `--test-crash` fault-injection flag must die by SIGABRT *and* leave
- * a parseable `qsyn-crash-<pid>.json` black box behind, and
- * `--metrics-prom` must produce a well-formed Prometheus page.
+ * a parseable `qsyn-crash-<pid>.json` black box behind,
+ * `--metrics-prom` must produce a well-formed Prometheus page, and
+ * qverify and qsim must write all three observability files.
  *
  * The tool directory arrives via the QSYN_TOOL_DIR environment
  * variable (set by tests/CMakeLists.txt from the build tree).
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,8 +39,11 @@ struct RunResult
     std::string output; // stdout + stderr combined
 };
 
+/** Run a tool; `output` captures stdout and stderr, or stderr alone
+ *  when `stderrOnly` is set. */
 RunResult
-runTool(const std::string &tool, const std::string &args)
+runTool(const std::string &tool, const std::string &args,
+        bool stderrOnly = false)
 {
     const char *dir = std::getenv("QSYN_TOOL_DIR");
     EXPECT_NE(dir, nullptr)
@@ -46,8 +51,8 @@ runTool(const std::string &tool, const std::string &args)
     RunResult res;
     if (!dir)
         return res;
-    std::string cmd =
-        std::string(dir) + "/" + tool + " " + args + " 2>&1";
+    std::string cmd = std::string(dir) + "/" + tool + " " + args +
+                      (stderrOnly ? " 2>&1 >/dev/null" : " 2>&1");
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     if (!pipe)
@@ -245,4 +250,66 @@ TEST(CrashDump, ReportJsonCarriesResourceAccounting)
     EXPECT_GT(resources.at("peak_rss_kb").number, 0.0);
     EXPECT_GT(resources.at("qmdd_peak_nodes").number, 0.0);
     EXPECT_GT(resources.at("qmdd_arena_bytes").number, 0.0);
+}
+
+TEST(CrashDump, QverifyAndQsimWriteObservabilityFiles)
+{
+    fs::path dir = scratchDir("tool_obs");
+    const std::string toffoli =
+        std::string(QSYN_DATA_DIR) + "/toffoli.qasm";
+    fs::path compiled = dir / "toffoli_ibmqx4.qasm";
+    RunResult compile = runTool("qsync", "-d ibmqx4 --quiet -o " +
+                                             compiled.string() + " " +
+                                             toffoli);
+    ASSERT_EQ(compile.exitCode, 0) << compile.output;
+
+    struct Case
+    {
+        std::string tool;
+        std::string inputs;
+        std::vector<std::string> spans;
+    };
+    const Case cases[] = {
+        {"qverify", toffoli + " " + compiled.string(),
+         {"qmdd.equivalence_check", "qmdd.miter"}},
+        {"qsim", toffoli, {"qsim.simulate"}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.tool);
+        fs::path trace = dir / (c.tool + ".trace.json");
+        fs::path metrics = dir / (c.tool + ".metrics.json");
+        fs::path prom = dir / (c.tool + ".prom");
+        RunResult res = runTool(
+            c.tool, "--trace-json " + trace.string() + " --metrics-json " +
+                        metrics.string() + " --metrics-prom " +
+                        prom.string() + " " + c.inputs,
+            true);
+        ASSERT_EQ(res.exitCode, 0) << res.output;
+        const std::string wrote = "wrote " + trace.string() +
+                                  "\nwrote " + metrics.string() +
+                                  "\nwrote " + prom.string() + "\n";
+        ASSERT_GE(res.output.size(), wrote.size()) << res.output;
+        EXPECT_EQ(res.output.substr(res.output.size() - wrote.size()),
+                  wrote);
+
+        Json v;
+        std::string error;
+        ASSERT_TRUE(service::parseJson(slurp(trace), &v, &error)) << error;
+        std::set<std::string> names;
+        for (const Json &e : v.at("traceEvents").array)
+            if (const Json *name = e.find("name"))
+                names.insert(name->str);
+        for (const std::string &span : c.spans)
+            EXPECT_EQ(names.count(span), 1u) << span;
+
+        ASSERT_TRUE(service::parseJson(slurp(metrics), &v, &error))
+            << error;
+        size_t qmdd_gauges = 0;
+        for (const auto &[name, value] : v.at("gauges").object)
+            if (name.rfind("qmdd.", 0) == 0)
+                ++qmdd_gauges;
+        EXPECT_GT(qmdd_gauges, 0u);
+
+        EXPECT_NE(slurp(prom).find("\nqsyn_qmdd_"), std::string::npos);
+    }
 }

@@ -197,7 +197,7 @@ TEST(Barenco, RootsNeedsNoAncillaAtAll)
         // The roots network emits controlled rotations; lower them.
         DecomposeOptions opts;
         opts.lowerToffoli = false;
-        opts.allowAncillaAllocation = false;
+        opts.maxQubits = raw.numQubits();
         Circuit dec = decomposeToPrimitives(raw, opts).circuit;
         EXPECT_EQ(dec.numQubits(), n);
         EXPECT_TRUE(sameUnitary(ref, dec)) << "k=" << k;
@@ -256,7 +256,7 @@ TEST(Controlled, MultiControlledGatesViaPass)
         ref.add(g);
         DecomposeOptions opts;
         opts.lowerToffoli = false;
-        opts.allowAncillaAllocation = false;
+        opts.maxQubits = ref.numQubits();
         Circuit dec = decomposeToPrimitives(ref, opts).circuit;
         for (const Gate &d : dec) {
             EXPECT_TRUE(d.numControls() == 0 ||
@@ -275,7 +275,7 @@ TEST(Controlled, McPhaseMatchesDiagonal)
     appendMcPhase(dec, {0, 1, 2}, theta);
     DecomposeOptions opts;
     opts.lowerToffoli = false;
-    opts.allowAncillaAllocation = false;
+    opts.maxQubits = dec.numQubits();
     Circuit lowered = decomposeToPrimitives(dec, opts).circuit;
 
     dd::Package pkg;

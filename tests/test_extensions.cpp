@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/report.hpp"
@@ -46,13 +48,13 @@ TEST(Drawer, CompactPacksIndependentGates)
     Circuit c(2);
     c.addH(0);
     c.addH(1); // parallel: should share a column
-    std::string compact = frontend::drawCircuit(c);
-    frontend::DrawOptions wide;
-    wide.compact = false;
-    std::string serial = frontend::drawCircuit(c, wide);
-    EXPECT_LT(compact.find('\n'), serial.find('\n') + 100);
-    // Compact drawing is narrower.
-    EXPECT_LT(compact.size(), serial.size());
+    std::istringstream art(frontend::drawCircuit(c));
+    std::string wire0, gap, wire1;
+    std::getline(art, wire0);
+    std::getline(art, gap);
+    std::getline(art, wire1);
+    ASSERT_NE(wire0.find('H'), std::string::npos) << wire0;
+    EXPECT_EQ(wire0.find('H'), wire1.find('H')) << wire0 << "\n" << wire1;
 }
 
 TEST(Drawer, TruncatesLongCircuits)

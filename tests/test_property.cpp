@@ -105,7 +105,7 @@ TEST_P(McxStrategyProperty, ExactOnItsSupportedPool)
     decompose::appendMcx(raw, controls, target, pool, strategy);
     decompose::DecomposeOptions dopts;
     dopts.lowerToffoli = true;
-    dopts.allowAncillaAllocation = false;
+    dopts.maxQubits = raw.numQubits();
     Circuit dec = decompose::decomposeToPrimitives(raw, dopts).circuit;
 
     // check() and checkDirect() must accept the decomposition and

@@ -241,14 +241,3 @@ TEST(QasmWriter, RejectsWideMcx)
     c.addMcx({0, 1, 2, 3}, 4);
     EXPECT_THROW(writeQasm(c), UserError);
 }
-
-TEST(QasmWriter, MeasureAllOption)
-{
-    Circuit c(2);
-    c.addH(0);
-    QasmWriterOptions opts;
-    opts.measureAll = true;
-    std::string qasm = writeQasm(c, opts);
-    EXPECT_NE(qasm.find("measure q[0] -> c[0];"), std::string::npos);
-    EXPECT_NE(qasm.find("measure q[1] -> c[1];"), std::string::npos);
-}

@@ -433,22 +433,6 @@ TEST(Sabre, DisconnectedQubitsThrow)
     EXPECT_THROW(routeCircuit(c, dev, nullptr, opts), MappingError);
 }
 
-TEST(Sabre, ZeroWindowStillRoutesCorrectly)
-{
-    // A degenerate lookahead window (frontier-only scoring) must not
-    // change correctness, only SWAP quality.
-    Device dev = builtinDevice("line_16");
-    Circuit c = seededCnotHeavy(5, 8, 30);
-    Circuit placed = applyPlacement(c, greedyPlacement(c, dev), dev);
-    Circuit by_ctr = routeCircuit(placed, dev, nullptr, {});
-    RouteOptions opts;
-    opts.router = RouterKind::Sabre;
-    opts.sabreWindow = 0;
-    Circuit by_sabre = routeCircuit(placed, dev, nullptr, opts);
-    expectLegal(by_sabre, dev);
-    EXPECT_TRUE(sameUnitary(by_ctr, by_sabre));
-}
-
 TEST(Router, NamesRoundTrip)
 {
     EXPECT_STREQ(routerName(RouterKind::Ctr), "ctr");

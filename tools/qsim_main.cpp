@@ -11,7 +11,6 @@
  */
 
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -20,8 +19,6 @@
 #include "common/errors.hpp"
 #include "common/stopwatch.hpp"
 #include "frontend/loader.hpp"
-#include "obs/expo.hpp"
-#include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "qmdd/vector.hpp"
 
@@ -48,37 +45,6 @@ printHelp()
            "  -h, --help        this text\n";
 }
 
-/** Write observability outputs requested on the command line. */
-void
-writeObsFiles(qsyn::obs::Sink &sink, const std::string &trace_path,
-              const std::string &metrics_path,
-              const std::string &prom_path = {})
-{
-    using qsyn::UserError;
-    if (!trace_path.empty()) {
-        std::ofstream f(trace_path);
-        if (!f)
-            throw UserError("cannot write trace '" + trace_path + "'");
-        f << sink.traceJson();
-        std::cerr << "wrote " << trace_path << "\n";
-    }
-    if (!metrics_path.empty()) {
-        std::ofstream f(metrics_path);
-        if (!f)
-            throw UserError("cannot write metrics '" + metrics_path +
-                            "'");
-        f << sink.metricsJson();
-        std::cerr << "wrote " << metrics_path << "\n";
-    }
-    if (!prom_path.empty()) {
-        std::string error;
-        if (!qsyn::obs::writePrometheusFile(sink.metrics(), prom_path,
-                                            &error))
-            throw UserError("cannot write metrics: " + error);
-        std::cerr << "wrote " << prom_path << "\n";
-    }
-}
-
 } // namespace
 
 int
@@ -87,7 +53,7 @@ main(int argc, char **argv)
     using namespace qsyn;
     std::string path;
     std::string input_bits;
-    std::string trace_path, metrics_path, prom_path, crash_dir;
+    cli::ObsFlags obs_flags;
     size_t top = 16;
     double threshold = 1e-9;
 
@@ -99,6 +65,8 @@ main(int argc, char **argv)
                     throw UserError("missing value for " + arg);
                 return argv[++i];
             };
+            if (cli::parseObsFlag(arg, next, &obs_flags))
+                continue;
             if (arg == "-h" || arg == "--help") {
                 printHelp();
                 return 0;
@@ -108,21 +76,6 @@ main(int argc, char **argv)
                 top = cli::parseCountValue(arg, next());
             } else if (arg == "--threshold") {
                 threshold = cli::parseDoubleValue(arg, next());
-            } else if (arg == "--trace-json") {
-                trace_path = next();
-            } else if (arg == "--metrics-json") {
-                metrics_path = next();
-            } else if (arg == "--metrics-prom") {
-                prom_path = next();
-            } else if (arg == "--crash-dump") {
-                crash_dir = next();
-            } else if (arg == "--log-level") {
-                std::string value = next();
-                obs::LogLevel level;
-                if (!obs::parseLogLevel(value, &level))
-                    throw UserError("unknown log level '" + value +
-                                    "' (quiet|info|debug|trace)");
-                obs::setLogLevel(level);
             } else if (!arg.empty() && arg[0] == '-') {
                 throw UserError("unknown option '" + arg + "'");
             } else if (path.empty()) {
@@ -135,19 +88,7 @@ main(int argc, char **argv)
         if (path.empty())
             throw UserError("no circuit file (try --help)");
 
-        obs::flight::setRecording(true);
-        if (!crash_dir.empty()) {
-            obs::flight::CrashConfig crash_config;
-            crash_config.dir = crash_dir;
-            obs::flight::installCrashHandler(crash_config);
-        }
-        obs::Sink obs_sink;
-        const bool observing = !trace_path.empty() ||
-                               !metrics_path.empty() ||
-                               !prom_path.empty();
-        if (observing)
-            obs::installSink(&obs_sink);
-        obs::nameCurrentThread("qsim-main");
+        cli::ObsSession session(obs_flags, "qsim-main");
 
         Circuit circuit = frontend::loadCircuitFile(path);
         Qubit n = circuit.numQubits();
@@ -179,12 +120,8 @@ main(int argc, char **argv)
         }
         std::cerr << "simulated in " << sw.seconds() << " s ("
                   << pkg.countNodes(state) << " state nodes)\n";
-        if (observing) {
-            pkg.publishMetrics();
-            obs::installSink(nullptr);
-            writeObsFiles(obs_sink, trace_path, metrics_path,
-                          prom_path);
-        }
+        pkg.publishMetrics();
+        session.writeFiles(std::cerr);
 
         if (n > 24) {
             std::cout << "norm^2 = "

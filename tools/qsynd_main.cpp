@@ -142,12 +142,7 @@ main(int argc, char **argv)
             } else if (arg == "--crash-dump") {
                 crashDumpDir = next(arg);
             } else if (arg == "--log-level") {
-                std::string value = next(arg);
-                obs::LogLevel level;
-                if (!obs::parseLogLevel(value, &level))
-                    throw UserError("unknown log level '" + value +
-                                    "' (quiet|info|debug|trace)");
-                logLevel = level;
+                logLevel = cli::parseLogLevelValue(next(arg));
             } else {
                 throw UserError("unknown option '" + arg +
                                 "' (try --help)");

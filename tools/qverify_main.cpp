@@ -15,7 +15,6 @@
  * inconclusive, or a usage/internal error.
  */
 
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -30,9 +29,6 @@
 #include "common/stopwatch.hpp"
 #include "core/batch.hpp"
 #include "frontend/loader.hpp"
-#include "obs/expo.hpp"
-#include "obs/flight.hpp"
-#include "obs/obs.hpp"
 #include "qmdd/equivalence.hpp"
 
 namespace {
@@ -73,37 +69,6 @@ printHelp()
            "  -h, --help         this text\n";
 }
 
-/** Write observability outputs requested on the command line. */
-void
-writeObsFiles(qsyn::obs::Sink &sink, const std::string &trace_path,
-              const std::string &metrics_path,
-              const std::string &prom_path = {})
-{
-    using qsyn::UserError;
-    if (!trace_path.empty()) {
-        std::ofstream f(trace_path);
-        if (!f)
-            throw UserError("cannot write trace '" + trace_path + "'");
-        f << sink.traceJson();
-        std::cerr << "wrote " << trace_path << "\n";
-    }
-    if (!metrics_path.empty()) {
-        std::ofstream f(metrics_path);
-        if (!f)
-            throw UserError("cannot write metrics '" + metrics_path +
-                            "'");
-        f << sink.metricsJson();
-        std::cerr << "wrote " << metrics_path << "\n";
-    }
-    if (!prom_path.empty()) {
-        std::string error;
-        if (!qsyn::obs::writePrometheusFile(sink.metrics(), prom_path,
-                                            &error))
-            throw UserError("cannot write metrics: " + error);
-        std::cerr << "wrote " << prom_path << "\n";
-    }
-}
-
 std::vector<qsyn::Qubit>
 parseAncillaList(const std::string &text)
 {
@@ -129,7 +94,7 @@ main(int argc, char **argv)
 {
     using namespace qsyn;
     std::vector<std::string> files;
-    std::string trace_path, metrics_path, prom_path, crash_dir;
+    cli::ObsFlags obs_flags;
     std::string cache_dir;
     bool use_cache = true;
     size_t jobs = 1;
@@ -144,6 +109,8 @@ main(int argc, char **argv)
                     throw UserError("missing value for " + arg);
                 return argv[++i];
             };
+            if (cli::parseObsFlag(arg, next, &obs_flags))
+                continue;
             if (arg == "-h" || arg == "--help") {
                 printHelp();
                 return 0;
@@ -161,21 +128,6 @@ main(int argc, char **argv)
                 cache_dir = next();
             } else if (arg == "--no-cache") {
                 use_cache = false;
-            } else if (arg == "--trace-json") {
-                trace_path = next();
-            } else if (arg == "--metrics-json") {
-                metrics_path = next();
-            } else if (arg == "--metrics-prom") {
-                prom_path = next();
-            } else if (arg == "--crash-dump") {
-                crash_dir = next();
-            } else if (arg == "--log-level") {
-                std::string value = next();
-                obs::LogLevel level;
-                if (!obs::parseLogLevel(value, &level))
-                    throw UserError("unknown log level '" + value +
-                                    "' (quiet|info|debug|trace)");
-                obs::setLogLevel(level);
             } else if (!arg.empty() && arg[0] == '-') {
                 throw UserError("unknown option '" + arg + "'");
             } else {
@@ -186,19 +138,7 @@ main(int argc, char **argv)
             throw UserError(
                 "expected an even number of circuit files (>= 2)");
 
-        obs::flight::setRecording(true);
-        if (!crash_dir.empty()) {
-            obs::flight::CrashConfig crash_config;
-            crash_config.dir = crash_dir;
-            obs::flight::installCrashHandler(crash_config);
-        }
-        obs::Sink obs_sink;
-        const bool observing = !trace_path.empty() ||
-                               !metrics_path.empty() ||
-                               !prom_path.empty();
-        if (observing)
-            obs::installSink(&obs_sink);
-        obs::nameCurrentThread("qverify-main");
+        cli::ObsSession session(obs_flags, "qverify-main");
 
         /** One consecutive file pair, checked on its own package. */
         struct PairOutcome
@@ -293,11 +233,7 @@ main(int argc, char **argv)
             else if (res.errored || !dd::isEquivalent(res.verdict))
                 any_inconclusive = true;
         }
-        if (observing) {
-            obs::installSink(nullptr);
-            writeObsFiles(obs_sink, trace_path, metrics_path,
-                          prom_path);
-        }
+        session.writeFiles(std::cerr);
 
         if (any_not_equivalent)
             return 1;
