@@ -10,18 +10,22 @@ namespace qsyn::analysis {
 
 namespace {
 
-/** Wires a gate occupies for dependency purposes: its controls and
- *  targets, except a barrier, which fences the whole register. */
-std::vector<Qubit>
-dependencyWires(const Gate &gate, Qubit num_qubits)
+/** Call `fn(q)` for each wire a gate occupies for dependency
+ *  purposes: its controls and targets, except a barrier, which fences
+ *  the whole register. */
+template <typename Fn>
+void
+forEachDependencyWire(const Gate &gate, Qubit num_qubits, Fn &&fn)
 {
     if (gate.kind() == GateKind::Barrier) {
-        std::vector<Qubit> all(num_qubits);
         for (Qubit q = 0; q < num_qubits; ++q)
-            all[q] = q;
-        return all;
+            fn(q);
+        return;
     }
-    return gate.qubits();
+    for (Qubit q : gate.controls())
+        fn(q);
+    for (Qubit q : gate.targets())
+        fn(q);
 }
 
 /** Commutation test used for block membership: only unitary gates
@@ -32,6 +36,27 @@ blockCommutes(const Gate &a, const Gate &b)
     if (!a.isUnitary() || !b.isUnitary())
         return false;
     return a.commutesWith(b);
+}
+
+/**
+ * The block rule, shared by the DAG and the depth sweep: `gate`
+ * closes a wire's current `block` (which becomes the previous block,
+ * the one the new block depends on) unless the block is empty or,
+ * commutation-aware, the gate commutes with every member.
+ */
+bool
+closesBlock(const Circuit &circuit, const std::vector<size_t> &block,
+            const Gate &gate, bool commutation_aware)
+{
+    if (block.empty())
+        return false;
+    if (!commutation_aware)
+        return true;
+    for (size_t member : block) {
+        if (!blockCommutes(circuit[member], gate))
+            return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -59,25 +84,16 @@ DependencyDag::DependencyDag(const Circuit &circuit, DagOptions options)
 
     for (size_t i = 0; i < circuit.size(); ++i) {
         const Gate &g = circuit[i];
-        for (Qubit q : dependencyWires(g, width)) {
-            bool joins = false;
-            if (options_.commutationAware && !cur_block[q].empty()) {
-                joins = true;
-                for (size_t member : cur_block[q]) {
-                    if (!blockCommutes(circuit[member], g)) {
-                        joins = false;
-                        break;
-                    }
-                }
-            }
-            if (!joins && !cur_block[q].empty()) {
+        forEachDependencyWire(g, width, [&](Qubit q) {
+            if (closesBlock(circuit, cur_block[q], g,
+                            options_.commutationAware)) {
                 prev_block[q] = std::move(cur_block[q]);
                 cur_block[q].clear();
             }
             for (size_t dep : prev_block[q])
                 addEdge(dep, i);
             cur_block[q].push_back(i);
-        }
+        });
     }
 
     for (DagNode &node : nodes_) {
@@ -229,9 +245,39 @@ computeDagMetrics(const DependencyDag &dag)
 size_t
 circuitDepth(const Circuit &circuit)
 {
-    if (circuit.empty())
-        return 0;
-    return DependencyDag(circuit).depth();
+    // The commutation-aware DAG's ASAP depth in one sweep: a gate's
+    // layer is the first after every previous block on its wires, so
+    // per wire it is enough to keep the current block and the first
+    // layer after the previous one.
+    struct Wire
+    {
+        std::vector<size_t> block;
+        /** First layer after the current / the previous block. */
+        size_t blockEnd = 0;
+        size_t previousEnd = 0;
+    };
+    const Qubit width = circuit.numQubits();
+    std::vector<Wire> wires(width);
+    size_t depth = 0;
+    for (size_t i = 0; i < circuit.size(); ++i) {
+        const Gate &g = circuit[i];
+        size_t layer = 0;
+        forEachDependencyWire(g, width, [&](Qubit q) {
+            Wire &w = wires[q];
+            if (closesBlock(circuit, w.block, g, true)) {
+                w.block.clear();
+                w.previousEnd = w.blockEnd;
+            }
+            layer = std::max(layer, w.previousEnd);
+        });
+        forEachDependencyWire(g, width, [&](Qubit q) {
+            Wire &w = wires[q];
+            w.block.push_back(i);
+            w.blockEnd = std::max(w.blockEnd, layer + 1);
+        });
+        depth = std::max(depth, layer + 1);
+    }
+    return depth;
 }
 
 } // namespace qsyn::analysis

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "opt/passes.hpp"
+
 namespace qsyn::analysis {
 
 namespace {
@@ -11,16 +13,6 @@ bool
 containsId(const std::vector<std::string> &ids, const char *rule_id)
 {
     return std::find(ids.begin(), ids.end(), rule_id) != ids.end();
-}
-
-bool
-sharesWire(const Gate &a, const Gate &b)
-{
-    for (Qubit q : a.qubits()) {
-        if (b.usesQubit(q))
-            return true;
-    }
-    return false;
 }
 
 Finding
@@ -171,40 +163,17 @@ LintOptions::ruleEnabled(const char *rule_id) const
 std::vector<std::pair<size_t, size_t>>
 findCancellablePairs(const Circuit &circuit, std::vector<bool> *removed_out)
 {
-    // The optimizer's cancelInversePairs relation, run to fixpoint with
-    // no scan horizon: pairs found here are exactly the gates the
-    // optimizer would delete given an unbounded peephole window.
-    std::vector<std::pair<size_t, size_t>> pairs;
-    std::vector<bool> removed(circuit.size(), false);
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (size_t i = 0; i < circuit.size(); ++i) {
-            if (removed[i] || !circuit[i].isUnitary())
-                continue;
-            const Gate &g = circuit[i];
-            for (size_t j = i + 1; j < circuit.size(); ++j) {
-                if (removed[j])
-                    continue;
-                const Gate &h = circuit[j];
-                if (!sharesWire(g, h))
-                    continue;
-                if (h.isInverseOf(g)) {
-                    removed[i] = true;
-                    removed[j] = true;
-                    pairs.emplace_back(i, j);
-                    changed = true;
-                    break;
-                }
-                if (g.commutesWith(h))
-                    continue;
-                break; // blocked on a shared wire
-            }
-        }
+    // The optimizer's cancellation scan with no horizon: pairs found
+    // here are exactly the gates the optimizer would delete given an
+    // unbounded peephole window.
+    std::vector<std::pair<size_t, size_t>> pairs =
+        opt::findInversePairs(circuit, opt::kNoHorizon);
+    if (removed_out) {
+        removed_out->assign(circuit.size(), false);
+        for (auto [i, j] : pairs)
+            (*removed_out)[i] = (*removed_out)[j] = true;
     }
     std::sort(pairs.begin(), pairs.end());
-    if (removed_out)
-        *removed_out = std::move(removed);
     return pairs;
 }
 

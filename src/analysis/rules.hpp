@@ -70,10 +70,11 @@ Diagnostics analyzeCircuit(const Circuit &circuit,
 
 /**
  * The cancellable-pair scan behind QL004, exposed for QL005 and for
- * tests: returns pairs (i, j), i < j, such that removing all pairs
- * leaves no further cancellable pair (the optimizer's fixpoint), and
- * fills `removed` (sized to the circuit) with the union of all pair
- * members.
+ * tests: the optimizer's opt::findInversePairs with no horizon.
+ * Returns pairs (i, j), i < j, in ascending order, such that removing
+ * all pairs leaves no further cancellable pair (the optimizer's
+ * fixpoint), and fills `removed` (sized to the circuit) with the union
+ * of all pair members.
  */
 std::vector<std::pair<size_t, size_t>>
 findCancellablePairs(const Circuit &circuit, std::vector<bool> *removed);

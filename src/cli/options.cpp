@@ -67,6 +67,18 @@ parseCountValue(const std::string &flag, const std::string &value)
     return static_cast<size_t>(v);
 }
 
+Qubit
+parseWidthValue(const std::string &flag, const std::string &value)
+{
+    unsigned long long v = 0;
+    if (!parseUnsigned(value, &v) ||
+        !isRegisterWidth(static_cast<double>(v)))
+        throw UserError("bad qubit count '" + value + "' for " + flag +
+                        " (an integer in 1.." +
+                        std::to_string(kMaxRegisterWidth) + ")");
+    return static_cast<Qubit>(v);
+}
+
 obs::LogLevel
 parseLogLevelValue(const std::string &value)
 {
@@ -175,8 +187,7 @@ parseCliArguments(const std::vector<std::string> &args)
         } else if (arg == "--device-file") {
             opts.deviceFile = next_value(arg);
         } else if (arg == "--simulator-qubits") {
-            opts.simulatorQubits = static_cast<Qubit>(
-                parseDoubleValue(arg, next_value(arg)));
+            opts.simulatorQubits = parseWidthValue(arg, next_value(arg));
         } else if (arg == "-o" || arg == "--output") {
             opts.outputPath = next_value(arg);
         } else if (arg == "-j" || arg == "--jobs") {

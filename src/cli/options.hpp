@@ -157,6 +157,8 @@ CliOptions parseCliArguments(const std::vector<std::string> &args);
 /// @{
 double parseDoubleValue(const std::string &flag, const std::string &value);
 size_t parseCountValue(const std::string &flag, const std::string &value);
+/** A register width: an integer in [1, kMaxRegisterWidth]. */
+Qubit parseWidthValue(const std::string &flag, const std::string &value);
 /// @}
 
 /** The value of a --log-level flag (quiet|info|debug|trace). Throws

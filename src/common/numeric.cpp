@@ -46,4 +46,12 @@ parseUnsigned(std::string_view text, unsigned long long *out)
     return true;
 }
 
+bool
+isRegisterWidth(double value)
+{
+    return value >= 1.0 &&
+           value <= static_cast<double>(kMaxRegisterWidth) &&
+           value == std::floor(value);
+}
+
 } // namespace qsyn

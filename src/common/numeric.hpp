@@ -37,4 +37,12 @@ bool parseUnsigned(std::string_view text, unsigned long long *out);
  */
 inline constexpr unsigned long long kMaxRegisterWidth = 4096;
 
+/**
+ * True when `value` is a register width a device may be built with: a
+ * whole number in [1, kMaxRegisterWidth]. The one check behind every
+ * simulator width a user gives (qsync and qlint `--simulator-qubits`,
+ * the qsynd `simulator_qubits` field).
+ */
+bool isRegisterWidth(double value);
+
 } // namespace qsyn

@@ -11,56 +11,11 @@
 #include <vector>
 
 #include "opt/passes.hpp"
+#include "opt/wire_links.hpp"
 
 namespace qsyn::opt {
 
 namespace {
-
-/**
- * Per-gate wire adjacency: previous/next gate index on each wire, in
- * two flat arrays. Gate i's k-th wire (order of Gate::qubits()) sits
- * at slot offset_[i] + k.
- */
-class WireLinks
-{
-  public:
-    static constexpr size_t kNone = static_cast<size_t>(-1);
-
-    explicit WireLinks(const Circuit &circuit)
-        : offset_(circuit.size() + 1, 0)
-    {
-        for (size_t i = 0; i < circuit.size(); ++i)
-            offset_[i + 1] = offset_[i] + circuit[i].numQubits();
-        prev_.assign(offset_.back(), kNone);
-        next_.assign(offset_.back(), kNone);
-        // The latest gate on each wire and that gate's slot for it.
-        std::vector<size_t> last_gate(circuit.numQubits(), kNone);
-        std::vector<size_t> last_slot(circuit.numQubits(), kNone);
-        for (size_t i = 0; i < circuit.size(); ++i) {
-            size_t slot = offset_[i];
-            auto link = [&](Qubit w) {
-                prev_[slot] = last_gate[w];
-                if (last_slot[w] != kNone)
-                    next_[last_slot[w]] = i;
-                last_gate[w] = i;
-                last_slot[w] = slot++;
-            };
-            for (Qubit w : circuit[i].controls())
-                link(w);
-            for (Qubit w : circuit[i].targets())
-                link(w);
-        }
-    }
-
-    /** Index of the previous / next gate on the k-th wire of gate i. */
-    size_t prev(size_t i, size_t k) const { return prev_[offset_[i] + k]; }
-    size_t next(size_t i, size_t k) const { return next_[offset_[i] + k]; }
-
-  private:
-    std::vector<size_t> offset_;
-    std::vector<size_t> prev_;
-    std::vector<size_t> next_;
-};
 
 bool
 isPlainH(const Gate &g, Qubit q)

@@ -15,6 +15,8 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "device/device.hpp"
 #include "ir/circuit.hpp"
@@ -24,10 +26,25 @@ namespace qsyn::opt {
 /**
  * Cancel adjacent inverse pairs (H.H, X.X, CNOT.CNOT, T.Tdg, ...).
  * "Adjacent" is commutation-aware: gates that syntactically commute
- * with the first gate may sit in between. Returns true when the
- * circuit changed.
+ * with the first gate may sit in between. Each scan looks at most 256
+ * gates ahead of its start. Returns true when the circuit changed.
  */
 bool cancelInversePairs(Circuit &circuit);
+
+/** A findInversePairs horizon that reaches the end of the circuit. */
+inline constexpr size_t kNoHorizon = static_cast<size_t>(-1);
+
+/**
+ * The inverse pairs cancelInversePairs removes, in the order it finds
+ * them, without removing them. A scan from start i walks the later
+ * gates that share a wire with gate i, stepping over removed gates and
+ * gates that commute with gate i, and pairs i with the first one that
+ * is its inverse; the first one that is neither blocks the scan. Only
+ * gates within `horizon` indices after i are looked at. Scans repeat
+ * in sweeps of ascending start until a sweep pairs nothing.
+ */
+std::vector<std::pair<size_t, size_t>>
+findInversePairs(const Circuit &circuit, size_t horizon);
 
 /**
  * Merge mergeable neighbors: same-axis rotations add their angles and

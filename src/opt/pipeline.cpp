@@ -32,11 +32,24 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
         report->snapshots.clear();
     }
 
-    PassReport cancellation{"cancellation", 0, 0, 0, 0.0};
-    PassReport rotation{"rotation_merge", 0, 0, 0, 0.0};
-    PassReport hadamard{"hadamard_rules", 0, 0, 0, 0.0};
-    PassReport window{"window_identity", 0, 0, 0, 0.0};
-    PassReport phase{"phase_polynomial", 0, 0, 0, 0.0};
+    // A pass that found nothing to do stays settled until another pass
+    // changes the circuit: on the same circuit it would find nothing
+    // again, so it is not rerun, though it still counts as an
+    // invocation. A pass is not settled by its own change:
+    // cancellation's horizon counts the gates it erased, so on its own
+    // output it can reach pairs it could not reach before.
+    struct Pass
+    {
+        PassReport report;
+        /** `changes` when the pass last found nothing to do. */
+        size_t settledAt = static_cast<size_t>(-1);
+    };
+    size_t changes = 0; // pass invocations that changed the circuit
+    Pass cancellation{{"cancellation", 0, 0, 0, 0.0}};
+    Pass rotation{{"rotation_merge", 0, 0, 0, 0.0}};
+    Pass hadamard{{"hadamard_rules", 0, 0, 0, 0.0}};
+    Pass window{{"window_identity", 0, 0, 0, 0.0}};
+    Pass phase{{"phase_polynomial", 0, 0, 0, 0.0}};
 
     // Window verdicts carry over between rounds: most windows of a
     // round were already examined, unchanged, in the round before.
@@ -44,30 +57,41 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
 
     const bool capture = options.capturePassCircuits && report != nullptr;
     int current_round = 0;
-    auto run_pass = [&](PassReport &pr, const char *span_name,
+    auto run_pass = [&](Pass &pass, const char *span_name,
                         auto &&fn) -> bool {
         obs::Span span(span_name, "opt");
-        size_t gates_before = current.size();
-        double cost_before = detailed ? model.cost(current) : 0.0;
-        Circuit before{0};
-        if (capture)
-            before = current;
-        bool changed = fn();
-        if (capture && changed) {
-            report->snapshots.push_back(
-                {pr.name, current_round, std::move(before), current});
-        }
+        PassReport &pr = pass.report;
         ++pr.invocations;
-        if (changed)
-            ++pr.changedRounds;
-        size_t gates_after = current.size();
-        size_t removed =
-            gates_before > gates_after ? gates_before - gates_after : 0;
-        pr.gatesRemoved += removed;
+        bool changed = false;
+        size_t removed = 0;
         double delta = 0.0;
-        if (detailed) {
-            delta = cost_before - model.cost(current);
-            pr.costDelta += delta;
+        if (pass.settledAt == changes) {
+            span.arg("skipped", 1);
+        } else {
+            size_t gates_before = current.size();
+            double cost_before = detailed ? model.cost(current) : 0.0;
+            Circuit before{0};
+            if (capture)
+                before = current;
+            changed = fn();
+            if (capture && changed) {
+                report->snapshots.push_back(
+                    {pr.name, current_round, std::move(before), current});
+            }
+            if (changed) {
+                ++pr.changedRounds;
+                ++changes;
+            } else {
+                pass.settledAt = changes;
+            }
+            size_t gates_after = current.size();
+            removed =
+                gates_before > gates_after ? gates_before - gates_after : 0;
+            pr.gatesRemoved += removed;
+            if (detailed) {
+                delta = cost_before - model.cost(current);
+                pr.costDelta += delta;
+            }
         }
         if (sink != nullptr) {
             span.arg("gates_removed", removed);
@@ -136,13 +160,13 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
     if (report) {
         report->finalCost = cost;
         report->finalGates = computeStats(current).volume;
-        report->passes.push_back(cancellation);
-        report->passes.push_back(rotation);
-        report->passes.push_back(hadamard);
+        report->passes.push_back(cancellation.report);
+        report->passes.push_back(rotation.report);
+        report->passes.push_back(hadamard.report);
         if (options.enableWindowIdentity)
-            report->passes.push_back(window);
+            report->passes.push_back(window.report);
         if (options.enablePhasePolynomial)
-            report->passes.push_back(phase);
+            report->passes.push_back(phase.report);
     }
     return current;
 }

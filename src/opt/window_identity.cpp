@@ -7,16 +7,18 @@
  * window's unitary is accumulated as a small dense matrix, and the
  * first prefix multiplying to the exact identity is deleted.
  *
- * The pass opens a window at every gate in every round, and lowered
- * Toffolis repeat a few windows thousands of times, so each window's
- * verdict is looked up by its canonical content first (see
- * IdentityWindowMemo). Collection, keying and the product run in
- * buffers reused across windows: nothing allocates per gate or per
- * window.
+ * The pass opens a window at every gate of its input; after an erase
+ * it opens one again only where the erase took a gate out of the range
+ * the window examined. Lowered Toffolis repeat a few windows thousands
+ * of times, so each window's verdict is looked up by its canonical
+ * content first (see IdentityWindowMemo). Collection, keying and the
+ * product run in buffers reused across windows: nothing allocates per
+ * gate or per window.
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/errors.hpp"
@@ -82,8 +84,10 @@ struct Window
  * wires stay inside a growing set of at most `max_qubits` wires.
  * Gates fully disjoint from the set are skipped over; expansion past a
  * skipped gate's wires is refused (that gate might not commute).
+ * Returns one past the last gate examined: the window depends on the
+ * gates in [start, end) alone.
  */
-void
+size_t
 collectWindow(const Circuit &circuit, size_t start, int max_qubits,
               size_t max_gates, Window &win)
 {
@@ -97,15 +101,15 @@ collectWindow(const Circuit &circuit, size_t start, int max_qubits,
 
     auto in_window = [&](Qubit q) { return win.local[q] != kNotInWindow; };
 
-    for (size_t j = start;
-         j < circuit.size() && win.members.size() < max_gates; ++j) {
+    size_t j = start;
+    for (; j < circuit.size() && win.members.size() < max_gates; ++j) {
         const Gate &g = circuit[j];
         if (!isWindowable(g)) {
             // Barriers / measures end the window for safety.
             bool touches = false;
             forEachWire(g, [&](Qubit q) { touches |= in_window(q); });
             if (touches || g.kind() == GateKind::Barrier)
-                break;
+                return j + 1;
             continue;
         }
         size_t fresh = 0;
@@ -137,7 +141,7 @@ collectWindow(const Circuit &circuit, size_t start, int max_qubits,
         // Overlapping (or the very first gate): try to expand.
         if (blocked ||
             win.wires.size() + fresh > static_cast<size_t>(max_qubits))
-            break;
+            return j + 1;
         forEachWire(g, [&](Qubit q) {
             if (!in_window(q)) {
                 win.local[q] = static_cast<int>(win.wires.size());
@@ -146,6 +150,7 @@ collectWindow(const Circuit &circuit, size_t start, int max_qubits,
         });
         win.members.push_back(j);
     }
+    return j;
 }
 
 /**
@@ -239,18 +244,26 @@ removeIdentityWindows(Circuit &circuit, int max_qubits, size_t max_gates,
     if (memo == nullptr)
         memo = &own;
     Window win(circuit.numQubits());
+    // end[s]: one past the last gate the window at start s examined.
+    // A start whose range [s, end) keeps its gates through an erase
+    // collects the same window with the same verdict, so a sweep after
+    // an erase collects only the starts whose range lost a gate.
+    std::vector<size_t> end(circuit.size());
+    std::vector<size_t> starts(circuit.size());
+    std::iota(starts.begin(), starts.end(), size_t{0});
+    std::vector<size_t> dead;
+    std::vector<bool> used;
     bool any = false;
-    bool changed = true;
 
-    while (changed) {
-        changed = false;
-        std::vector<size_t> dead;
-        std::vector<bool> used(circuit.size(), false);
-
-        for (size_t start = 0; start < circuit.size(); ++start) {
+    while (!starts.empty()) {
+        dead.clear();
+        used.assign(circuit.size(), false);
+        for (size_t start : starts) {
+            end[start] = start + 1;
             if (used[start] || !isWindowable(circuit[start]))
                 continue;
-            collectWindow(circuit, start, max_qubits, max_gates, win);
+            end[start] =
+                collectWindow(circuit, start, max_qubits, max_gates, win);
             if (win.members.size() < 2)
                 continue;
             if (std::any_of(win.members.begin(), win.members.end(),
@@ -264,13 +277,30 @@ removeIdentityWindows(Circuit &circuit, int max_qubits, size_t max_gates,
                 used[win.members[k]] = true;
             }
         }
+        if (dead.empty())
+            break;
 
-        if (!dead.empty()) {
-            std::sort(dead.begin(), dead.end());
-            circuit.eraseMany(dead);
-            changed = true;
-            any = true;
+        // Move every surviving start's range to the erased circuit's
+        // indices, and sweep again over the starts whose range lost a
+        // gate.
+        std::sort(dead.begin(), dead.end());
+        starts.clear();
+        size_t lost = 0; // dead gates before i
+        for (size_t i = 0; i < circuit.size(); ++i) {
+            if (lost < dead.size() && dead[lost] == i) {
+                ++lost;
+                continue;
+            }
+            size_t lost_by_end = static_cast<size_t>(
+                std::lower_bound(dead.begin() + lost, dead.end(), end[i]) -
+                dead.begin());
+            end[i - lost] = end[i] - lost_by_end;
+            if (lost_by_end > lost)
+                starts.push_back(i - lost);
         }
+        circuit.eraseMany(dead);
+        end.resize(circuit.size());
+        any = true;
     }
     return any;
 }

@@ -16,6 +16,7 @@
 #include "analysis/rules.hpp"
 #include "common/deadline.hpp"
 #include "common/errors.hpp"
+#include "common/numeric.hpp"
 #include "common/stopwatch.hpp"
 #include "common/strings.hpp"
 #include "core/batch.hpp"
@@ -540,9 +541,10 @@ Server::deviceFor(const Json &request) const
     std::string name = request.stringOr("device", "ibmqx4");
     if (name == "simulator") {
         double width = request.numberOr("simulator_qubits", 32.0);
-        if (width < 1.0 || width > 4096.0)
+        if (!isRegisterWidth(width))
             throw ServiceError{ErrorCode::BadRequest,
-                               "simulator_qubits out of range"};
+                               "simulator_qubits must be an integer in "
+                               "1.." + std::to_string(kMaxRegisterWidth)};
         return Device::simulator(static_cast<Qubit>(width));
     }
     return builtinDevice(name);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Error-path tests for the installed tools (qsync, qverify, qsim),
+ * Error-path tests for the installed tools (qsync, qverify, qsim,
+ * qlint),
  * run as real subprocesses: every malformed invocation must exit with
  * a nonzero code and a diagnostic on stderr — never a crash, never an
  * uncaught exception, never silence. Also checks that the figures
@@ -136,6 +137,23 @@ TEST(QsyncErrors, BadJobsValue)
                            "bad count");
     expectDiagnosedFailure(runTool("qsync", "--jobs -3 " + ok),
                            "bad count");
+}
+
+TEST(QsyncErrors, BadSimulatorWidthIsDiagnosed)
+{
+    // --simulator-qubits takes an integer in [1, 4096]: a negative or
+    // huge width used to abort with std::bad_alloc, and 2.7 meant 2.
+    std::string toffoli = std::string(QSYN_DATA_DIR) + "/toffoli.qasm";
+    for (const char *width : {"-1", "0", "2.7", "1e10", "4097", "x"}) {
+        expectDiagnosedFailure(
+            runTool("qsync", std::string("-d simulator --simulator-qubits ") +
+                                 width + " --no-emit " + toffoli),
+            "bad qubit count");
+    }
+    RunResult ok = runTool(
+        "qsync", "-d simulator --simulator-qubits 3 --no-emit --quiet " +
+                     toffoli);
+    EXPECT_EQ(ok.exitCode, 0) << ok.output;
 }
 
 TEST(QsyncErrors, MissingFlagValue)
@@ -303,6 +321,27 @@ TEST(QverifyErrors, BadNumericValues)
         runTool("qverify", "--budget 10q " + pair), "bad count");
     expectDiagnosedFailure(
         runTool("qverify", "--ancilla 1,x " + pair), "bad count");
+}
+
+// ---------------------------------------------------------------------
+// qlint
+// ---------------------------------------------------------------------
+
+TEST(QlintErrors, BadSimulatorWidthIsDiagnosed)
+{
+    // The same rule as qsync: 2^32 + 1 used to wrap to a 1-qubit
+    // simulator.
+    std::string ok = scratchFile(
+        "ok.qasm", "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n");
+    for (const char *width : {"0", "2.7", "4097", "4294967297"}) {
+        expectDiagnosedFailure(
+            runTool("qlint", std::string("-d simulator --simulator-qubits ") +
+                                 width + " " + ok),
+            "bad qubit count");
+    }
+    RunResult clean =
+        runTool("qlint", "-d simulator --simulator-qubits 2 " + ok);
+    EXPECT_EQ(clean.exitCode, 0) << clean.output;
 }
 
 // ---------------------------------------------------------------------

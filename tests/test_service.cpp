@@ -431,19 +431,18 @@ TEST(ServiceE2E, LimitViolationsAreStructuredAndNonFatal)
 
 TEST(ServiceE2E, DeadlineExpiresStructurally)
 {
-    // 2400 gates cannot be decomposed, routed, optimized and verified
-    // in 20 ms; the optimizer's deadline poll usually fires first, and
-    // the cooperative poll must unwind it cleanly. The budget rides on
-    // the request (deadline_ms) rather than the server so the
-    // follow-up small compile is unconstrained — under slow sanitizer
-    // builds even it would blow a 20 ms server-wide deadline.
-    Daemon daemon({"--max-gates", "1000000"});
+    // A budget of one nanosecond has run out by the first cooperative
+    // poll however fast the daemon compiles, so the request must come
+    // back as a structured timeout; the same circuit without a budget
+    // then compiles. The budget rides on the request (deadline_ms)
+    // rather than the server so the follow-up is unconstrained.
+    Daemon daemon;
     daemon.waitReady();
     service::Client client =
         service::Client::connectUnix(daemon.socket());
 
-    service::Json req = compileRequest(hugeQasm(800));
-    req.object["deadline_ms"] = service::Json::makeNumber(20.0);
+    service::Json req = compileRequest(kSmallQasm);
+    req.object["deadline_ms"] = service::Json::makeNumber(1e-6);
     service::Json resp = client.call(req);
     EXPECT_FALSE(resp.boolOr("ok", true));
     EXPECT_EQ(errorCodeOf(resp), "deadline_exceeded");
@@ -458,17 +457,23 @@ TEST(ServiceE2E, OverloadedWhenQueueFull)
     Daemon daemon({"--threads", "1", "--queue-depth", "0"});
     daemon.waitReady();
 
-    // Occupy the single compile slot with a slow compile (bounded by
-    // its own deadline so the test can't hang), wait until health
-    // shows it in flight, then probe: the probe must get an immediate
-    // structured `overloaded`, not a hang.
-    std::thread slow([&] {
+    // Occupy the single compile slot until the holder's deadline, wait
+    // until health shows it in flight, then probe: the probe must get
+    // an immediate structured `overloaded`, not a hang. The holder
+    // enumerates the 2^24 amplitudes of an idle 24-qubit register, none
+    // of which reaches the threshold, polling its deadline after each
+    // one: far more work than fits in the deadline, so the deadline,
+    // not the machine's speed, decides how long the slot is held.
+    std::thread holder([&] {
         try {
             service::Client c =
                 service::Client::connectUnix(daemon.socket());
-            service::Json req = compileRequest(hugeQasm(800));
-            req.object["deadline_ms"] =
-                service::Json::makeNumber(2000.0);
+            service::Json req = service::Json::makeObject();
+            req.object["op"] = service::Json::makeString("simulate");
+            req.object["source"] = service::Json::makeString(
+                "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[24];\n");
+            req.object["threshold"] = service::Json::makeNumber(2.0);
+            req.object["deadline_ms"] = service::Json::makeNumber(500.0);
             c.call(req);
         } catch (const Error &) {
         }
@@ -485,7 +490,7 @@ TEST(ServiceE2E, OverloadedWhenQueueFull)
             errorCodeOf(resp) == "overloaded")
             sawOverloaded = true;
     }
-    slow.join();
+    holder.join();
     EXPECT_TRUE(inFlight);
     EXPECT_TRUE(sawOverloaded);
     EXPECT_EQ(daemon.terminate(), 0);
@@ -602,6 +607,26 @@ TEST(ServiceProtocol, MalformedJsonGetsStructuredError)
     service::Json ping = service::Json::makeObject();
     ping.object["op"] = service::Json::makeString("ping");
     EXPECT_TRUE(client.call(ping).boolOr("ok", false));
+}
+
+TEST(ServiceProtocol, SimulatorWidthMustBeAnIntegerInRange)
+{
+    // simulator_qubits follows qsync's --simulator-qubits rule: an
+    // integer in [1, 4096]; 2.5 used to be accepted.
+    InProcessServer srv;
+    service::Client client =
+        service::Client::connectUnix(srv.socket());
+    auto request = [](double width) {
+        service::Json req = compileRequest(kSmallQasm);
+        req.object["device"] = service::Json::makeString("simulator");
+        req.object["simulator_qubits"] = service::Json::makeNumber(width);
+        return req;
+    };
+    for (double width : {2.5, 0.0, -1.0, 4097.0, 1e10})
+        EXPECT_EQ(errorCodeOf(client.call(request(width))), "bad_request")
+            << width;
+    service::Json ok = client.call(request(4.0));
+    EXPECT_TRUE(ok.boolOr("ok", false)) << errorCodeOf(ok);
 }
 
 TEST(ServiceProtocol, OversizedPrefixAnswersThenCloses)

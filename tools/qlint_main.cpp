@@ -90,8 +90,8 @@ parseArgs(const std::vector<std::string> &args)
         } else if (arg == "--device-file") {
             opts.deviceFile = next_value(arg);
         } else if (arg == "--simulator-qubits") {
-            opts.simulatorQubits = static_cast<qsyn::Qubit>(
-                qsyn::cli::parseCountValue(arg, next_value(arg)));
+            opts.simulatorQubits =
+                qsyn::cli::parseWidthValue(arg, next_value(arg));
         } else if (arg == "--format") {
             opts.format = next_value(arg);
             if (opts.format != "text" && opts.format != "json" &&
